@@ -331,18 +331,30 @@ def transcription_audit(family: str, b: float = 0.5, n: int = 3,
 # S-curvature
 # ---------------------------------------------------------------------------
 
-def _check_inputs(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, y):
+def _check_inputs(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, y,
+                  mode: str = "formal"):
+    """Checked y as a float array with alpha = |y|; also enforces ``mode``."""
     y = np.asarray(y, dtype=float)
     if y.shape != (model.m_dim,):
         raise ValueError(f"y must have {model.m_dim} components")
-    if not np.any(y):
-        raise DomainError("y = 0 is outside the slit tangent space")
+    with np.errstate(over="ignore"):
+        alpha = float(np.linalg.norm(y))
+    if not 0.0 < alpha < math.inf:
+        if not y.any():
+            raise DomainError("y = 0 is outside the slit tangent space")
+        raise DomainError(
+            f"|y| = {alpha:.3g}: y must be finite with a length that neither "
+            "underflows to 0 nor overflows")
     if abs(spec.b - v.b) > 1e-9:
         raise ValueError(
             f"MetricSpec.b = {spec.b} does not match |v| = {v.b}; "
             "build the spec with MetricSpec.for_vector"
         )
-    return y
+    if mode == "validated":
+        _require_validated(model, v, spec)
+    elif mode != "formal":
+        raise ValueError(f"mode must be 'formal' or 'validated', got {mode!r}")
+    return y, alpha
 
 
 def _require_validated(model: ReductiveModel, v: InvariantVector, spec: MetricSpec):
@@ -359,11 +371,6 @@ def _require_validated(model: ReductiveModel, v: InvariantVector, spec: MetricSp
             f"(min {shen.min_value:.6g} at s = {shen.argmin_s:.6g})")
 
 
-def _alpha_s(v: InvariantVector, y: np.ndarray):
-    alpha = float(np.linalg.norm(y))
-    return alpha, v.c * float(y[-1]) / alpha
-
-
 def _guard_delta(delta: float, s: float):
     if abs(delta) < _SING_TOL:
         raise SingularityError(f"Delta = 0 at s = {s:.6g}")
@@ -377,11 +384,7 @@ def s_curvature(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
     for the infinite-series and exponential profiles) or "generic" (from phi
     derivatives).  Degenerate cases are exact: v = 0 or [v, y]_m = 0 give 0.
     """
-    y = _check_inputs(model, v, spec, y)
-    if mode == "validated":
-        _require_validated(model, v, spec)
-    elif mode != "formal":
-        raise ValueError(f"mode must be 'formal' or 'validated', got {mode!r}")
+    y, alpha = _check_inputs(model, v, spec, y, mode)
     if path not in ("closed_form", "generic"):
         raise ValueError(f"path must be 'closed_form' or 'generic', got {path!r}")
     if v.c == 0.0:
@@ -392,7 +395,7 @@ def s_curvature(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
         return 0.0
     bvy_y = float(br @ y)
     bvy_v = float(br @ vf)
-    alpha, s = _alpha_s(v, y)
+    s = v.c * float(y[-1]) / alpha
     if path == "generic":
         bundle = coefficients_generic(spec.phi, s, spec.b, model.m_dim)
         _guard_delta(bundle.Delta, s)
@@ -413,11 +416,7 @@ def s_curvature_via_tensors(model: ReductiveModel, v: InvariantVector,
     r_00 = r_ij y^i y^j and s_0 = c s_ni y^i; must agree with
     ``s_curvature`` to rounding.
     """
-    y = _check_inputs(model, v, spec, y)
-    if mode == "validated":
-        _require_validated(model, v, spec)
-    elif mode != "formal":
-        raise ValueError(f"mode must be 'formal' or 'validated', got {mode!r}")
+    y, alpha = _check_inputs(model, v, spec, y, mode)
     if v.c == 0.0:
         return 0.0
     tensors = origin_tensors(model, v)
@@ -425,7 +424,7 @@ def s_curvature_via_tensors(model: ReductiveModel, v: InvariantVector,
     s0 = v.c * float(tensors.s[-1] @ y)
     if r00 == 0.0 and s0 == 0.0:
         return 0.0
-    alpha, s = _alpha_s(v, y)
+    s = v.c * float(y[-1]) / alpha
     bundle = coefficients_generic(spec.phi, s, spec.b, model.m_dim)
     _guard_delta(bundle.Delta, s)
     return -bundle.Phi / (2.0 * alpha * bundle.Delta**2) * (
@@ -462,14 +461,14 @@ def berwald_workspace(model: ReductiveModel, v: InvariantVector,
     Only the infinite-series and exponential profiles carry a closed-form
     factor; other families raise ValueError.
     """
-    y = _check_inputs(model, v, spec, y)
+    y, alpha = _check_inputs(model, v, spec, y)
     family = spec.phi.name
     if family not in _FACTOR_POLYS:
         raise ValueError(
             f"closed-form mean Berwald factor exists only for "
             f"{sorted(_FACTOR_POLYS)}, not {family!r}")
     n = model.m_dim
-    alpha, s = _alpha_s(v, y)
+    s = v.c * float(y[-1]) / alpha
     b_vec = np.zeros(n)
     b_vec[-1] = v.c
     s_y = (b_vec * alpha - s * y) / alpha**2
@@ -526,10 +525,9 @@ def _mean_berwald_closed(model, v, spec, y) -> np.ndarray:
     return _FACTOR_SIGN[family] * 0.5 * (term_yy + term_mixed + term_vv + term_vcross)
 
 
-def _mean_berwald_fd(model, v, spec, y, step=None) -> np.ndarray:
+def _mean_berwald_fd(model, v, spec, y, alpha, step=None) -> np.ndarray:
     n = model.m_dim
-    alpha = float(np.linalg.norm(y))
-    h = step if step is not None else max(1e-4, 1e-4 * alpha)
+    h = step if step is not None else 1e-4 * alpha
     if h <= 0.0 or np.all(y + h * np.eye(n)[0] == y):
         raise DomainError(f"finite-difference step underflow (h = {h:.3g})")
 
@@ -565,11 +563,7 @@ def mean_berwald(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
     "finite_difference" returns half the Richardson-refined central-difference
     Hessian of the generic-path S.  Homogeneity: E(lambda y) = E(y)/lambda.
     """
-    y = _check_inputs(model, v, spec, y)
-    if mode == "validated":
-        _require_validated(model, v, spec)
-    elif mode != "formal":
-        raise ValueError(f"mode must be 'formal' or 'validated', got {mode!r}")
+    y, alpha = _check_inputs(model, v, spec, y, mode)
     n = model.m_dim
     if v.c == 0.0:
         return np.zeros((n, n))
@@ -578,7 +572,7 @@ def mean_berwald(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
     if path == "finite_difference":
         if not _bracket_matrix(model, v).any():
             return np.zeros((n, n))
-        return _mean_berwald_fd(model, v, spec, y, step=step)
+        return _mean_berwald_fd(model, v, spec, y, alpha, step=step)
     raise ValueError(
         f"path must be 'closed_form' or 'finite_difference', got {path!r}")
 

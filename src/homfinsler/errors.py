@@ -18,7 +18,7 @@ class SingularityError(DomainError):
 
 
 class QuadratureError(FinslerError):
-    """Adaptive quadrature failed to converge; message names the worst panel."""
+    """A volume factor did not converge; message names form, b, n and the last estimates."""
 
 
 class ConfigError(FinslerError):

@@ -2,26 +2,28 @@
 
 Relative to the Riemannian volume of alpha, both the Busemann-Hausdorff and
 the Holmes-Thompson volume forms rescale by a factor f(b) that depends only
-on the profile phi, the 1-form length b and the dimension n:
+on the profile phi, the 1-form length b and the dimension n.  With x = cos t
+and the weight w(x) = (1 - x^2)^((n-3)/2),
 
-    f_bh(b) = int_0^pi sin^(n-2) t dt / int_0^pi sin^(n-2) t / phi(b cos t)^n dt
-    f_ht(b) = int_0^pi sin^(n-2) t * T(b cos t) dt / int_0^pi sin^(n-2) t dt
+    f_bh(b) = mu_0 / int_{-1}^{1} w(x) / phi(b x)^n dx
+    f_ht(b) = int_{-1}^{1} w(x) T(b x) dx / mu_0,      mu_0 = B(1/2, (n-1)/2),
 
 with the auxiliary weight
 
     T(s) = phi (phi - s phi')^(n-2) { (phi - s phi') + (b^2 - s^2) phi'' }.
 
-For phi = 1 both factors are exactly 1.  Integrals are evaluated with
-fixed-order Gauss-Legendre panels refined by adaptive bisection.
+For phi = 1 both factors are exactly 1.  The integrals use Gauss-Jacobi
+(Gegenbauer) rules, which integrate the weight exactly, doubling the node
+count until two successive factors agree to a relative _RTOL.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import QuadratureError, ValidatedModeError
 from .metrics import PhiFamily
@@ -31,10 +33,10 @@ __all__ = [
     "t_function",
     "volume_coefficient",
     "volume_coefficients",
-    "adaptive_gauss_legendre",
 ]
 
-_MAX_DEPTH = 48
+_RTOL = 1e-11
+_MAX_DOUBLINGS = 4
 
 
 def t_function(phi: PhiFamily, s: float, b: float, n: int) -> float:
@@ -44,61 +46,38 @@ def t_function(phi: PhiFamily, s: float, b: float, n: int) -> float:
     return p * core ** (n - 2) * (core + (b * b - s * s) * phi.d2phi(s))
 
 
-def _panel_rule(nodes: int):
-    x, w = roots_legendre(nodes)
-    return x, w
+def _mu0(n: int) -> float:
+    """int_{-1}^{1} (1 - x^2)^((n-3)/2) dx = B(1/2, (n-1)/2)."""
+    h = (n - 1) / 2.0
+    return math.exp(math.lgamma(0.5) + math.lgamma(h) - math.lgamma(h + 0.5))
 
 
-def adaptive_gauss_legendre(f, a: float, b: float, abs_tol: float = 1e-10,
-                            nodes: int = 64):
-    """Integrate f over [a, b]; returns (value, evaluation_count).
+@functools.lru_cache(maxsize=128)
+def _gegenbauer_rule(n: int, count: int):
+    """Nodes and weights of the count-point Gauss rule for (1 - x^2)^((n-3)/2).
 
-    One fixed-order panel per interval; an interval is accepted when
-    bisecting it changes the value by less than its share of abs_tol,
-    otherwise it is split.  Raises QuadratureError (naming the worst panel)
-    when the recursion depth limit is hit, which is how non-integrable
-    singularities surface.
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    monic recurrence p_{k+1} = x p_k - beta_k p_{k-1}.  The weights are the
+    Christoffel numbers 1 / sum_k q_k(x)^2 over the orthonormal polynomials
+    q_k, which keep their relative accuracy in the tiny end weights.
     """
-    x, w = _panel_rule(nodes)
-    evals = 0
-
-    def panel(lo, hi):
-        nonlocal evals
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        pts = mid + half * x
-        vals = np.array([f(t) for t in pts])
-        evals += len(pts)
-        if not np.all(np.isfinite(vals)):
-            raise QuadratureError(
-                f"integrand not finite inside panel [{lo:.6g}, {hi:.6g}]")
-        return half * float(w @ vals)
-
-    def recurse(lo, hi, tol, whole, depth):
-        mid = 0.5 * (lo + hi)
-        left = panel(lo, mid)
-        right = panel(mid, hi)
-        if abs(left + right - whole) <= tol:
-            return left + right
-        if depth >= _MAX_DEPTH:
-            raise QuadratureError(
-                f"quadrature did not converge; worst panel [{lo:.6g}, {hi:.6g}]")
-        return (recurse(lo, mid, 0.5 * tol, left, depth + 1)
-                + recurse(mid, hi, 0.5 * tol, right, depth + 1))
-
-    value = recurse(a, b, abs_tol, panel(a, b), 0)
-    return value, evals
-
-
-def _sin_power(t: float, n: int) -> float:
-    """sin^(n-2) t, via exp of log for large exponents to avoid underflow."""
-    k = n - 2
-    if k == 0:
-        return 1.0
-    st = math.sin(t)
-    if st <= 0.0:
-        return 0.0
-    return math.exp(k * math.log(st))
+    a = (n - 3) / 2.0
+    k = np.arange(2, count, dtype=float)
+    beta = np.concatenate(([1.0 / (2 * a + 3)],
+                           k * (k + 2 * a) / ((2 * k + 2 * a - 1) * (2 * k + 2 * a + 1))))
+    off = np.sqrt(beta[:count - 1])
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    mu0 = _mu0(n)
+    prev = np.zeros(count)
+    cur = np.full(count, 1.0 / math.sqrt(mu0))
+    total = cur * cur
+    for j in range(count - 1):  # off[-1] at j = 0 only multiplies prev = 0
+        prev, cur = cur, (x * cur - off[j - 1] * prev) / off[j]
+        total += cur * cur
+    w = 1.0 / total
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -111,26 +90,47 @@ class VolumeCoefficients:
 
 
 def volume_coefficient(phi: PhiFamily, b: float, n: int, form: str,
-                       mode: str = "formal", abs_tol: float = 1e-10,
-                       nodes: int = 64) -> float:
+                       mode: str = "formal", nodes: int = 64) -> float:
     """Volume rescaling factor f(b) for form "bh" or "ht".
 
     In validated mode the profile must be positive on [-b, b] (checked via
     the positivity criterion grid); the formal mode attempts the quadrature
-    regardless and lets genuine non-integrability surface as
-    QuadratureError.
+    regardless.  ``nodes`` is the size of the first rule; QuadratureError is
+    raised when the factor has not settled after four doublings, which is
+    how non-integrable profiles surface.
     """
-    value, _ = _volume_with_count(phi, b, n, form, mode, abs_tol, nodes)
+    value, _ = _volume_with_count(phi, b, n, form, mode, nodes)
     return value
 
 
-def _volume_with_count(phi, b, n, form, mode, abs_tol, nodes):
+def _factor(phi, b, n, form, count):
+    x, w = _gegenbauer_rule(n, count)
+    s = b * x
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if form == "bh":
+            vals = np.fromiter((phi.phi(t) for t in s), float, count) ** -n
+        else:
+            vals = np.fromiter((t_function(phi, t, b, n) for t in s), float, count)
+        if not np.all(np.isfinite(vals)):
+            raise QuadratureError(
+                f"{form} integrand not finite at {count} nodes (b = {b:.6g}, n = {n})")
+        integral = float(w @ vals)
+    if form == "ht":
+        return integral / _mu0(n)
+    if integral == 0.0:
+        raise QuadratureError("bh denominator integral evaluated to zero")
+    return _mu0(n) / integral
+
+
+def _volume_with_count(phi, b, n, form, mode, nodes):
     if n < 2:
         raise ValueError("dimension n must be >= 2")
     if form not in ("bh", "ht"):
         raise ValueError(f"form must be 'bh' or 'ht', got {form!r}")
     if mode not in ("formal", "validated"):
         raise ValueError(f"mode must be 'formal' or 'validated', got {mode!r}")
+    if nodes < 1:
+        raise ValueError(f"nodes must be >= 1, got {nodes}")
     if mode == "validated":
         grid = np.linspace(-b, b, 201)
         bad = [s for s in map(float, grid) if not _positive_at(phi, s)]
@@ -138,22 +138,17 @@ def _volume_with_count(phi, b, n, form, mode, abs_tol, nodes):
             raise ValidatedModeError(
                 f"validated mode: phi({phi.name}) not positive at s = {bad[0]:.6g} on [-b, b]")
 
-    sin_ref, c1 = adaptive_gauss_legendre(lambda t: _sin_power(t, n), 0.0, math.pi,
-                                          abs_tol=abs_tol, nodes=nodes)
-    if form == "bh":
-        def integrand(t):
-            return _sin_power(t, n) / phi.phi(b * math.cos(t)) ** n
-        denom, c2 = adaptive_gauss_legendre(integrand, 0.0, math.pi,
-                                            abs_tol=abs_tol, nodes=nodes)
-        if denom == 0.0:
-            raise QuadratureError("bh denominator integral evaluated to zero")
-        return sin_ref / denom, c1 + c2
-
-    def integrand(t):
-        return _sin_power(t, n) * t_function(phi, b * math.cos(t), b, n)
-    numer, c2 = adaptive_gauss_legendre(integrand, 0.0, math.pi,
-                                        abs_tol=abs_tol, nodes=nodes)
-    return numer / sin_ref, c1 + c2
+    count = evals = nodes
+    cur = _factor(phi, b, n, form, count)
+    for _ in range(_MAX_DOUBLINGS):
+        prev, count = cur, 2 * count
+        cur = _factor(phi, b, n, form, count)
+        evals += count
+        if abs(cur - prev) <= _RTOL * abs(cur):
+            return cur, evals
+    raise QuadratureError(
+        f"{form} factor did not converge for {phi.name} at b = {b:.6g}, n = {n}: "
+        f"{prev:.12g} at {count // 2} nodes, {cur:.12g} at {count} nodes")
 
 
 def _positive_at(phi, s) -> bool:
@@ -165,8 +160,8 @@ def _positive_at(phi, s) -> bool:
 
 
 def volume_coefficients(phi: PhiFamily, b: float, n: int, mode: str = "formal",
-                        abs_tol: float = 1e-10, nodes: int = 64) -> VolumeCoefficients:
+                        nodes: int = 64) -> VolumeCoefficients:
     """Both volume factors in one record."""
-    f_bh, n1 = _volume_with_count(phi, b, n, "bh", mode, abs_tol, nodes)
-    f_ht, n2 = _volume_with_count(phi, b, n, "ht", mode, abs_tol, nodes)
+    f_bh, n1 = _volume_with_count(phi, b, n, "bh", mode, nodes)
+    f_ht, n2 = _volume_with_count(phi, b, n, "ht", mode, nodes)
     return VolumeCoefficients(b=b, n=n, f_bh=f_bh, f_ht=f_ht, nodes_used=n1 + n2)

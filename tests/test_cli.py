@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import homfinsler
 from homfinsler import catalog_get, s_curvature, volume_coefficient
 from homfinsler.cli import SpaceConfig, main
 from homfinsler.metrics import MetricSpec, phi_family
@@ -133,6 +137,25 @@ class TestBasicCommands:
                        "--metric", "exponential", "--y", "1,2"])
         assert code == 2
         capsys.readouterr()
+
+    def test_underflowing_y_exits_1_without_traceback(self, capsys):
+        code, _ = run(["s-curv", "--space", "catalog:heisenberg3", "--metric",
+                       "exponential", "--y", "1e-300,1e-300,1e-300"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(homfinsler.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, homfinsler, homfinsler.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestSpaceConfig:

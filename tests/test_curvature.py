@@ -198,6 +198,20 @@ class TestSCurvature:
         with pytest.raises(ValueError, match="path"):
             s_curvature(e.model, e.v, spec, [1.0, 1.0], path="nope")
 
+    @pytest.mark.parametrize("y", [[np.nan, 1.0, 1.0], [1e-300] * 3, [1e200] * 3],
+                             ids=["nan", "underflow", "overflow"])
+    def test_unrepresentable_y_is_domain_error(self, y):
+        e = catalog_get("heisenberg3")
+        spec = spec_for(e, "exponential")
+        for call in (lambda: s_curvature(e.model, e.v, spec, y),
+                     lambda: s_curvature(e.model, e.v, spec, y, path="generic"),
+                     lambda: s_curvature_via_tensors(e.model, e.v, spec, y),
+                     lambda: mean_berwald(e.model, e.v, spec, y),
+                     lambda: mean_berwald(e.model, e.v, spec, y, path="finite_difference"),
+                     lambda: berwald_workspace(e.model, e.v, spec, y)):
+            with pytest.raises(DomainError, match=r"\|y\|"):
+                call()
+
     def test_series_singularity_at_orthogonal_y(self):
         e = catalog_get("solvable2")
         spec = spec_for(e, "infinite_series")
@@ -358,6 +372,18 @@ class TestMeanBerwald:
         spec = spec_for(e, "exponential")
         with pytest.raises(ValueError, match="path"):
             mean_berwald(e.model, e.v, spec, [1.0, 0.3], path="nope")
+
+    @pytest.mark.parametrize("y", [[0.6027, -0.798], [1.0, 0.3]])
+    @pytest.mark.parametrize("lam", [0.015, 10.0])
+    def test_finite_difference_homogeneity(self, y, lam):
+        # the default step scales with |y|, so lam * E_fd(lam y) = E_fd(y);
+        # y = (0.6027, -0.798) has s = -0.399, close to Delta = 0
+        e = catalog_get("solvable2")
+        spec = spec_for(e, "infinite_series")
+        y = np.array(y)
+        base = mean_berwald(e.model, e.v, spec, y, path="finite_difference")
+        scaled = lam * mean_berwald(e.model, e.v, spec, lam * y, path="finite_difference")
+        assert np.max(np.abs(scaled - base)) <= 1e-5 * np.max(np.abs(base))
 
     def test_step_underflow(self):
         e = catalog_get("solvable2")

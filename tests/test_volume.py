@@ -1,5 +1,7 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 from homfinsler import (
@@ -11,7 +13,7 @@ from homfinsler import (
     volume_coefficient,
     volume_coefficients,
 )
-from homfinsler.volume import adaptive_gauss_legendre
+from homfinsler.volume import _gegenbauer_rule
 
 RIEMANNIAN = PhiFamily.custom(lambda s: 1.0, lambda s: 0.0, lambda s: 0.0,
                               lambda s: 0.0, in_domain=lambda s: True,
@@ -36,26 +38,84 @@ class TestTFunction:
         assert t_function(phi, 0.0, 0.3, 2) == pytest.approx(1.09)
 
 
-class TestQuadrature:
-    def test_polynomial_exact(self):
-        val, _ = adaptive_gauss_legendre(lambda t: t**3 - 2 * t, 0.0, 2.0)
-        assert val == pytest.approx(0.0, abs=1e-12)
+class TestGegenbauerRule:
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 51])
+    @pytest.mark.parametrize("count", [1, 8, 64])
+    def test_weights_sum_to_mu0(self, n, count):
+        _, w = _gegenbauer_rule(n, count)
+        mu0 = math.exp(math.lgamma(0.5) + math.lgamma((n - 1) / 2) - math.lgamma(n / 2))
+        assert w.sum() == pytest.approx(mu0, rel=1e-14)
+        assert np.all(w > 0.0)
 
-    def test_oscillatory(self):
-        val, evals = adaptive_gauss_legendre(math.sin, 0.0, math.pi)
-        assert val == pytest.approx(2.0, abs=1e-10)
-        assert evals >= 64
+    @pytest.mark.parametrize("n", [2, 3, 6, 12])
+    @pytest.mark.parametrize("count", [3, 8, 13])
+    def test_exact_on_monomials(self, n, count):
+        # int x^k (1-x^2)^a dx = B((k+1)/2, a+1) for even k, 0 for odd k
+        x, w = _gegenbauer_rule(n, count)
+        a = (n - 3) / 2
+        for k in range(2 * count):
+            exact = 0.0 if k % 2 else math.exp(
+                math.lgamma((k + 1) / 2) + math.lgamma(a + 1) - math.lgamma(k / 2 + a + 1.5))
+            assert float(w @ x**k) == pytest.approx(exact, rel=1e-12, abs=1e-14), k
 
-    def test_nonintegrable_raises_with_location(self):
-        with pytest.raises(QuadratureError, match="panel"):
-            adaptive_gauss_legendre(lambda t: 1.0 / (t - 1.0) ** 2, 0.0, 2.0)
+    @pytest.mark.parametrize("count", [1, 5, 64])
+    def test_chebyshev_case_n2(self, count):
+        # weight (1-x^2)^(-1/2): nodes cos((2j-1) pi / 2N), weights pi/N
+        x, w = _gegenbauer_rule(2, count)
+        j = np.arange(count, 0, -1)
+        assert np.allclose(x, np.cos((2 * j - 1) * math.pi / (2 * count)), rtol=0, atol=1e-15)
+        assert np.allclose(w, math.pi / count, rtol=1e-12, atol=0)
+
+    def test_cached_and_read_only(self):
+        x, w = _gegenbauer_rule(5, 16)
+        assert _gegenbauer_rule(5, 16)[0] is x
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
+
+def _mp_factor(phi, b, n, form):
+    """40-digit reference for f_bh / f_ht from the x = cos t integrals."""
+    with mpmath.workdps(40):
+        b = mpmath.mpf(b)
+        mu0 = mpmath.beta(mpmath.mpf(1) / 2, mpmath.mpf(n - 1) / 2)
+
+        def weight(x):
+            return (1 - x * x) ** (mpmath.mpf(n - 3) / 2)
+
+        def t_weight(s):
+            p, p1, p2 = (mpmath.diff(phi, s, k) for k in range(3))
+            core = p - s * p1
+            return p * core ** (n - 2) * (core + (b * b - s * s) * p2)
+
+        if form == "bh":
+            return float(mu0 / mpmath.quad(lambda x: weight(x) / phi(b * x) ** n, [-1, 0, 1]))
+        return float(mpmath.quad(lambda x: weight(x) * t_weight(b * x), [-1, 0, 1]) / mu0)
+
+
+class TestOracles:
+    @pytest.mark.parametrize("n", [12, 16, 20, 51])
+    def test_randers_bh_closed_form_large_n(self, n):
+        f = volume_coefficient(phi_family("randers"), 0.9, n, "bh")
+        assert f == pytest.approx((1 - 0.9**2) ** ((n + 1) / 2), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [7, 8, 12])
+    @pytest.mark.parametrize("family", ["matsumoto", "infinite_series"])
+    def test_ht_matches_mpmath(self, family, n):
+        mp_phi = {"matsumoto": lambda s: 1 / (1 - s),
+                  "infinite_series": lambda s: s**2 / (s - 1)}[family]
+        f = volume_coefficient(phi_family(family), 0.9, n, "ht")
+        assert f == pytest.approx(_mp_factor(mp_phi, 0.9, n, "ht"), rel=1e-10)
+
+    def test_kropina_ht_diverges(self):
+        # T(s) grows like s^-(n+1) at the pole s = 0 of phi = 1/s
+        with pytest.raises(QuadratureError, match="kropina"):
+            volume_coefficient(phi_family("kropina"), 0.5, 3, "ht")
 
 
 class TestVolumeCoefficient:
     @pytest.mark.parametrize("n", [2, 3, 7, 51])
     @pytest.mark.parametrize("form", ["bh", "ht"])
     def test_riemannian_is_one(self, n, form):
-        # n = 51 exercises the exp-of-log sin-power path
         assert volume_coefficient(RIEMANNIAN, 0.6, n, form) \
             == pytest.approx(1.0, abs=1e-9)
 
@@ -106,6 +166,8 @@ class TestVolumeCoefficient:
             volume_coefficient(RIEMANNIAN, 0.5, 3, "xx")
         with pytest.raises(ValueError, match="mode"):
             volume_coefficient(RIEMANNIAN, 0.5, 3, "bh", mode="loose")
+        with pytest.raises(ValueError, match="nodes"):
+            volume_coefficient(RIEMANNIAN, 0.5, 3, "ht", nodes=0)
 
 
 class TestVolumeCoefficients:
