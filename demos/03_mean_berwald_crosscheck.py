@@ -1,10 +1,11 @@
 """Mean Berwald curvature: closed form against the Hessian oracle.
 
-E_ij = (1/2) d^2 S / dy_i dy_j.  The closed form expands the derivatives of
-the family factor W(s) and of s(y) analytically; the oracle differentiates
-the generic-path S numerically (central differences with one Richardson
-refinement).  Agreement is at the 1e-5 scale set by second-order numeric
-differentiation.
+E_ij = (1/2) d^2 S / dy_i dy_j.  The closed form differentiates
+S = W(s) <[v,y],y>/alpha + W(s) Q(s) <[v,y],v> analytically, with the factor
+W = Phi/(2 Delta^2) and its s-derivatives derived from Q = N/D; the oracle
+differentiates the generic-path S numerically (central differences with one
+Richardson refinement).  Agreement is at the 1e-5 scale set by second-order
+numeric differentiation.
 """
 
 import numpy as np
@@ -33,7 +34,9 @@ e1 = hf.mean_berwald(model, v, spec, y)
 e2 = hf.mean_berwald(model, v, spec, 2.0 * y)
 print("max |E(2y) - E(y)/2| =", np.max(np.abs(e2 - e1 / 2.0)))
 
-# The workspace exposes the intermediates if you want to inspect them:
+# The workspace exposes the intermediates if you want to inspect them.
+# W = Phi/(2 Delta^2) carries the sign of S: negative here for the
+# exponential profile.
 ws = hf.berwald_workspace(model, v, spec, y)
 print(f"s = {ws.s:.6f}, W = {ws.factor:.6f}, dW/ds = {ws.dfactor_ds:.6f}, "
       f"d2W/ds2 = {ws.d2factor_ds2:.6f}")

@@ -362,6 +362,12 @@ class OriginTensors:
     s: np.ndarray = field(repr=False)
 
 
+def _christoffel(br: np.ndarray) -> np.ndarray:
+    """gamma from the frame bracket tensor: the i >= j half, mirrored."""
+    full = 0.5 * (-br.transpose(2, 0, 1) + br + br.transpose(0, 2, 1))
+    return np.where(np.tri(br.shape[0], dtype=bool), full, full.transpose(0, 2, 1))
+
+
 def christoffel_origin(model: ReductiveModel) -> np.ndarray:
     """Connection coefficients of the frame at the origin.
 
@@ -369,16 +375,7 @@ def christoffel_origin(model: ReductiveModel) -> np.ndarray:
         (1/2) * (-<[v_i, v_j]_m, v_l> + <[v_l, v_i]_m, v_j> + <[v_l, v_j]_m, v_i>)
     and the i < j entries mirror the i > j ones (torsion-free symmetry).
     """
-    br = _frame_bracket_tensor(model)
-    n = model.m_dim
-    gamma = np.zeros((n, n, n))
-    for l in range(n):
-        for i in range(n):
-            for j in range(i + 1):
-                val = 0.5 * (-br[i, j, l] + br[l, i, j] + br[l, j, i])
-                gamma[l, i, j] = val
-                gamma[l, j, i] = val
-    return gamma
+    return _christoffel(_frame_bracket_tensor(model))
 
 
 def origin_tensors(model: ReductiveModel, v: InvariantVector) -> OriginTensors:
@@ -390,23 +387,13 @@ def origin_tensors(model: ReductiveModel, v: InvariantVector) -> OriginTensors:
     symmetric.
     """
     n = model.m_dim
-    gamma = christoffel_origin(model)
+    br = _frame_bracket_tensor(model)
+    gamma = _christoffel(br)
     if v.c == 0.0:
         return OriginTensors(gamma=gamma, r=np.zeros((n, n)), s=np.zeros((n, n)))
-    br = _frame_bracket_tensor(model)
-    c = v.c
-    s = np.zeros((n, n))
-    r = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i):
-            val = 0.5 * c * br[j, i, n - 1]
-            s[j, i] = val
-            s[i, j] = -val
-        for j in range(i + 1):
-            val = -0.5 * c * (br[n - 1, i, j] + br[n - 1, j, i])
-            r[i, j] = val
-            r[j, i] = val
-    return OriginTensors(gamma=gamma, r=r, s=s)
+    upper = np.triu(0.5 * v.c * br[:, :, -1], 1)
+    rn = br[-1]
+    return OriginTensors(gamma=gamma, r=-0.5 * v.c * (rn + rn.T), s=upper - upper.T)
 
 
 def s0_r00(model: ReductiveModel, v: InvariantVector, y) -> tuple[float, float]:

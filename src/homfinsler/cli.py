@@ -31,7 +31,7 @@ import numpy as np
 from . import catalog
 from .algebra import InvariantVector, ReductiveModel, StructureConstants, build_model, validate_model
 from .curvature import (
-    _CLOSED,
+    _RATIONAL_Q,
     mean_berwald,
     s_curvature,
     s_curvature_via_tensors,
@@ -333,7 +333,7 @@ def _cmd_s_curv(args, out):
     model, v, spec, mode = _load_space(args)
     y = _parse_y(args.y, model.m_dim)
     records = []
-    if spec.phi.name in _CLOSED:
+    if spec.phi.name in _RATIONAL_Q:
         records.append({"path": "closed_form",
                         "S": s_curvature(model, v, spec, y, path="closed_form", mode=mode)})
     records.append({"path": "generic",
@@ -349,7 +349,7 @@ def _cmd_berwald(args, out):
     y = _parse_y(args.y, model.m_dim)
     n = model.m_dim
     e_fd = mean_berwald(model, v, spec, y, path="finite_difference", mode=mode)
-    has_closed = spec.phi.name in _CLOSED
+    has_closed = spec.phi.name in _RATIONAL_Q
     e_closed = (mean_berwald(model, v, spec, y, path="closed_form", mode=mode)
                 if has_closed else None)
     records = []
@@ -380,7 +380,7 @@ def _cmd_volume(args, out):
 
 def _cmd_scan(args, out):
     model, v, spec, mode = _load_space(args)
-    if spec.phi.name not in _CLOSED:
+    if spec.phi.name not in _RATIONAL_Q:
         raise ConfigError(
             f"scan compares the closed and generic routes; family "
             f"{spec.phi.name!r} has no closed form")

@@ -17,25 +17,30 @@ Three independent evaluation routes are provided and cross-checked by the
 test suite:
 
 * ``generic``      - Q, Delta, Phi from phi and its derivatives (quotient rule);
-* ``closed_form``  - the per-family rational functions for the two built-in
-                     profiles (infinite series and exponential), written as
-                     S = sign * ( W(s)/alpha <[v,y],y> + W(s) Q(s) <[v,y],v> )
-                     with W = +Phi/(2 Delta^2) (series) or -Phi/(2 Delta^2)
-                     (exponential), each a single rational function in s;
+* ``closed_form``  - for the profiles in _RATIONAL_Q (infinite series and
+                     exponential), Q = N/D with polynomials N and D, from
+                     which _rational_forms derives Q', Q'', Delta, Phi and
+                     W = Phi/(2 Delta^2) as rational functions of s, so that
+                     S = W/alpha <[v,y],y> + W Q <[v,y],v>;
 * ``via tensors``  - S = -Phi/(2 alpha Delta^2) (r_00 - 2 alpha Q s_0) from
                      the contracted origin tensors instead of raw brackets.
 
 The mean Berwald curvature E_ij = (1/2) d^2 S / dy_i dy_j has a closed form
-for the two built-in profiles (expanded below from W, Q and the derivatives
-of s(y)), and a finite-difference route that Hessians the generic S.
+for the same profiles (the Hessians of W(s) <[v,y],y>/alpha and of
+(WQ)(s) <[v,y],v>, assembled at y/|y| and divided by |y|), and a
+finite-difference route that Hessians the generic S.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .algebra import (
     InvariantVector,
@@ -125,101 +130,92 @@ def coefficients_generic(phi: PhiFamily, s: float, b: float, n: int) -> Coeffici
                              Delta=delta, Phi=phi_big)
 
 
+def _horner(c, s: float) -> float:
+    """Value at s of the polynomial with ascending coefficients c."""
+    out = 0.0
+    for a in reversed(c):
+        out = out * s + a
+    return out
+
+
+# Q = phi'/(phi - s phi') = N/D, ascending in s: the only per-family closed-form
+# data.  _rational_forms derives everything else from it.
+_RATIONAL_Q = {
+    "infinite_series": ((-2, 1), (0, 1)),   # phi = s^2/(s-1): Q = (s-2)/s
+    "exponential": ((1,), (1, -1)),         # phi = exp(s):     Q = 1/(1-s)
+}
+
+
+_RationalForms = namedtuple("_RationalForms", "N D A B DN DN1 DN2 PN PN1 PN2")
+
+
+@functools.lru_cache(maxsize=256)
+def _rational_forms(family: str, b: float, n: int) -> _RationalForms:
+    """Ascending coefficients in s of the closed-route polynomials at (b, n).
+
+    From Q = N/D, by polynomial arithmetic:
+
+        A  = N'D - ND'                      Q'    = A / D^2
+        B  = A'D - 2AD'                     Q''   = B / D^3
+        DN = D^2 + sND + (b^2 - s^2)A       Delta = DN / D^2
+        PN = -(ND - sA)(n DN + D^2 + sND)
+             - (b^2 - s^2)(D + sN)B         Phi   = PN / D^4
+
+    so W = Phi/(2 Delta^2) = PN/(2 DN^2), in which D cancels.  DN1, DN2,
+    PN1 and PN2 are the first two s-derivatives of DN and PN.
+    """
+    try:
+        num, den = (np.array(c, dtype=float) for c in _RATIONAL_Q[family])
+    except KeyError:
+        raise ValueError(
+            f"no closed-form coefficients for family {family!r} (closed forms "
+            f"exist for {sorted(_RATIONAL_Q)}); use the generic path"
+        ) from None
+    add, sub, mul, der = P.polyadd, P.polysub, P.polymul, P.polyder
+    s = np.array([0.0, 1.0])
+    k = np.array([b * b, 0.0, -1.0])                 # b^2 - s^2
+    a = sub(mul(der(num), den), mul(num, der(den)))
+    bq = sub(mul(der(a), den), 2.0 * mul(a, der(den)))
+    nd, d2 = mul(num, den), mul(den, den)
+    s_nd = mul(s, nd)
+    dn = add(add(d2, s_nd), mul(k, a))
+    pn = -add(mul(sub(nd, mul(s, a)), add(add(n * dn, d2), s_nd)),
+              mul(mul(k, add(den, mul(s, num))), bq))
+    polys = (num, den, a, bq, dn, der(dn), der(dn, 2), pn, der(pn), der(pn, 2))
+    return _RationalForms(*(tuple(map(float, c)) for c in polys))
+
+
+def _closed_coefficients(family: str, s: float, b: float, n: int) -> CoefficientBundle:
+    forms = _rational_forms(family, b, n)
+    d = _guard(_horner(forms.D, s), s, f"pole of Q ({family})")
+    return CoefficientBundle(s=s, b=b, n=n, Q=_horner(forms.N, s) / d,
+                             Qp=_horner(forms.A, s) / d**2,
+                             Qpp=_horner(forms.B, s) / d**3,
+                             Delta=_horner(forms.DN, s) / d**2,
+                             Phi=_horner(forms.PN, s) / d**4)
+
+
 def coefficients_infinite_series(s: float, b: float, n: int) -> CoefficientBundle:
     """Closed coefficients for phi(s) = s^2/(s-1); singular at s = 0."""
-    if abs(s) < _SING_TOL:
-        raise SingularityError("s = 0 (infinite series Q = 1 - 2/s)")
-    q = 1.0 - 2.0 / s
-    qp = 2.0 / s**2
-    qpp = -4.0 / s**3
-    delta = (s**3 - 3.0 * s**2 + 2.0 * b * b) / s**2
-    phi_big = (-(n + 1) * s**4 + (7 * n + 1) * s**3 - 12 * n * s**2
-               + 2.0 * (2 - n) * b * b * s + 4.0 * (2 * n - 1) * b * b) / s**3
-    return CoefficientBundle(s=s, b=b, n=n, Q=q, Qp=qp, Qpp=qpp,
-                             Delta=delta, Phi=phi_big)
+    return _closed_coefficients("infinite_series", s, b, n)
 
 
 def coefficients_exponential(s: float, b: float, n: int) -> CoefficientBundle:
     """Closed coefficients for phi(s) = exp(s); singular at s = 1."""
-    if abs(1.0 - s) < _SING_TOL:
-        raise SingularityError("s = 1 (exponential Q = 1/(1-s))")
-    one = 1.0 - s
-    q = 1.0 / one
-    qp = 1.0 / one**2
-    qpp = 2.0 / one**3
-    delta = (1.0 + b * b - s * s - s) / one**2
-    phi_big = -(2 * n * s**3 + n * s**2 - (3.0 + 3 * n + 2 * n * b * b) * s
-                + (2 + n) * b * b + n + 1) / one**4
-    return CoefficientBundle(s=s, b=b, n=n, Q=q, Qp=qp, Qpp=qpp,
-                             Delta=delta, Phi=phi_big)
-
-
-_CLOSED = {
-    "infinite_series": coefficients_infinite_series,
-    "exponential": coefficients_exponential,
-}
-
-# sign of S relative to the bracket assembly with the family factor W(s):
-# S = sign * (W/alpha <[v,y],y> + W Q <[v,y],v>)
-_FACTOR_SIGN = {"infinite_series": 1.0, "exponential": -1.0}
-
-
-def _closed_bundle(family: str, s: float, b: float, n: int) -> CoefficientBundle:
-    try:
-        fn = _CLOSED[family]
-    except KeyError:
-        raise ValueError(
-            f"no closed-form coefficients for family {family!r}; "
-            "use the generic path"
-        ) from None
-    return fn(s, b, n)
-
-
-# ---------------------------------------------------------------------------
-# family factor W(s) = |Phi| / (2 Delta^2) as a single rational function
-# ---------------------------------------------------------------------------
-
-def _series_factor_polys(s: float, b: float, n: int):
-    b2 = b * b
-    num = (-(n + 1) * s**5 + (7 * n + 1) * s**4 - 12 * n * s**3
-           + 2 * (2 - n) * b2 * s**2 + 4 * (2 * n - 1) * b2 * s)
-    num1 = (-5 * (n + 1) * s**4 + 4 * (7 * n + 1) * s**3 - 36 * n * s**2
-            + 4 * (2 - n) * b2 * s + 4 * (2 * n - 1) * b2)
-    num2 = -20 * (n + 1) * s**3 + 12 * (7 * n + 1) * s**2 - 72 * n * s + 4 * (2 - n) * b2
-    den = s**3 - 3.0 * s**2 + 2.0 * b2
-    den1 = 3.0 * s**2 - 6.0 * s
-    den2 = 6.0 * s - 6.0
-    return num, num1, num2, den, den1, den2
-
-
-def _exponential_factor_polys(s: float, b: float, n: int):
-    b2 = b * b
-    num = (2 * n * s**3 + n * s**2 - (3.0 + 3 * n + 2 * n * b2) * s
-           + (2 + n) * b2 + n + 1)
-    num1 = 6 * n * s**2 + 2 * n * s - (3.0 + 3 * n + 2 * n * b2)
-    num2 = 12 * n * s + 2 * n
-    den = 1.0 + b2 - s - s * s
-    den1 = -2.0 * s - 1.0
-    den2 = -2.0
-    return num, num1, num2, den, den1, den2
-
-
-_FACTOR_POLYS = {
-    "infinite_series": _series_factor_polys,
-    "exponential": _exponential_factor_polys,
-}
+    return _closed_coefficients("exponential", s, b, n)
 
 
 def _factor_derivs(family: str, s: float, b: float, n: int):
-    """W(s) = N/(2 D^2) with dW/ds and d2W/ds2 by the quotient rule.
+    """W(s) = PN/(2 DN^2) with dW/ds and d2W/ds2 by the quotient rule.
 
     These derivatives are derived directly from the rational function and are
     the authoritative route; see ``transcription_audit`` for the comparison
     against the pre-expanded polynomial tables.
     """
-    num, num1, num2, den, den1, den2 = _FACTOR_POLYS[family](s, b, n)
-    if abs(den) < _SING_TOL:
-        raise SingularityError(f"Delta = 0 at s = {s:.6g} ({family})")
+    forms = _rational_forms(family, b, n)
+    num, num1, num2 = (_horner(c, s) for c in (forms.PN, forms.PN1, forms.PN2))
+    den, den1, den2 = (_horner(c, s) for c in (forms.DN, forms.DN1, forms.DN2))
+    _guard(den, s, "Delta = 0")
     w = num / (2.0 * den**2)
     dw = (num1 * den - 2.0 * num * den1) / (2.0 * den**3)
     d2w = (num2 * den**2 - 4.0 * num1 * den * den1
@@ -229,7 +225,7 @@ def _factor_derivs(family: str, s: float, b: float, n: int):
 
 # Pre-expanded polynomial tables for dW/ds and d2W/ds2 (the error-prone
 # hand-expanded route).  Kept verbatim for the audit; do not use in
-# computations.
+# computations.  Each entry carries its sign: the exponential tables expand -W.
 
 def _series_expanded_d1(s: float, b: float, n: int) -> float:
     b2, b4 = b * b, b**4
@@ -273,8 +269,8 @@ def _exponential_expanded_d2(s: float, b: float, n: int) -> float:
 
 
 _EXPANDED = {
-    "infinite_series": (_series_expanded_d1, _series_expanded_d2),
-    "exponential": (_exponential_expanded_d1, _exponential_expanded_d2),
+    "infinite_series": (1.0, _series_expanded_d1, _series_expanded_d2),
+    "exponential": (-1.0, _exponential_expanded_d1, _exponential_expanded_d2),
 }
 
 
@@ -304,22 +300,22 @@ def transcription_audit(family: str, b: float = 0.5, n: int = 3,
     quotient-rule forms win on any mismatch; known discrepancies in the
     second-derivative tables are documented in the README.
     """
-    d1_table, d2_table = _EXPANDED[family]
+    sign, d1_table, d2_table = _EXPANDED[family]
     if family == "infinite_series":
         grid = np.concatenate([np.linspace(-2.0, -0.15, samples),
                                np.linspace(1.1, 4.0, samples)])
     else:
         grid = np.linspace(-0.9, 0.9, 2 * samples)
+    forms = _rational_forms(family, b, n)
     max1 = 0.0
     max2 = 0.0
     used = 0
     for s in grid:
-        _, _, _, den, _, _ = _FACTOR_POLYS[family](s, b, n)
-        if abs(den) < 0.05 or (family == "infinite_series" and abs(s) < 0.1):
+        if abs(_horner(forms.DN, s)) < 0.05 or abs(_horner(forms.D, s)) < 0.1:
             continue
         _, dw, d2w = _factor_derivs(family, s, b, n)
-        max1 = max(max1, abs(d1_table(s, b, n) - dw) / (1.0 + abs(dw)))
-        max2 = max(max2, abs(d2_table(s, b, n) - d2w) / (1.0 + abs(d2w)))
+        max1 = max(max1, abs(sign * d1_table(s, b, n) - dw) / (1.0 + abs(dw)))
+        max2 = max(max2, abs(sign * d2_table(s, b, n) - d2w) / (1.0 + abs(d2w)))
         used += 1
         if used >= samples:
             break
@@ -339,12 +335,12 @@ def _check_inputs(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, y
         raise ValueError(f"y must have {model.m_dim} components")
     with np.errstate(over="ignore"):
         alpha = float(np.linalg.norm(y))
-    if not 0.0 < alpha < math.inf:
+    if not sys.float_info.min <= alpha * alpha < math.inf:
         if not y.any():
             raise DomainError("y = 0 is outside the slit tangent space")
         raise DomainError(
-            f"|y| = {alpha:.3g}: y must be finite with a length that neither "
-            "underflows to 0 nor overflows")
+            f"|y| = {alpha:.3g}: y must be finite, with |y|^2 a normal float "
+            "(neither subnormal nor overflowing)")
     if abs(spec.b - v.b) > 1e-9:
         raise ValueError(
             f"MetricSpec.b = {spec.b} does not match |v| = {v.b}; "
@@ -371,18 +367,21 @@ def _require_validated(model: ReductiveModel, v: InvariantVector, spec: MetricSp
             f"(min {shen.min_value:.6g} at s = {shen.argmin_s:.6g})")
 
 
-def _guard_delta(delta: float, s: float):
-    if abs(delta) < _SING_TOL:
-        raise SingularityError(f"Delta = 0 at s = {s:.6g}")
+def _guard(value: float, s: float, locus: str) -> float:
+    """value, or SingularityError naming the locus when it is (nearly) zero."""
+    if abs(value) < _SING_TOL:
+        raise SingularityError(f"{locus} at s = {s:.6g}")
+    return value
 
 
 def s_curvature(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
                 y, path: str = "closed_form", mode: str = "formal") -> float:
     """S(H, y), positively homogeneous of degree 1 in y.
 
-    ``path`` selects "closed_form" (per-family rational functions, available
-    for the infinite-series and exponential profiles) or "generic" (from phi
-    derivatives).  Degenerate cases are exact: v = 0 or [v, y]_m = 0 give 0.
+    ``path`` selects "closed_form" (the rational functions derived from
+    ``_RATIONAL_Q``, for the infinite-series and exponential profiles) or
+    "generic" (from phi derivatives).  Degenerate cases are exact: v = 0 or
+    [v, y]_m = 0 give 0.
     """
     y, alpha = _check_inputs(model, v, spec, y, mode)
     if path not in ("closed_form", "generic"):
@@ -398,14 +397,15 @@ def s_curvature(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
     s = v.c * float(y[-1]) / alpha
     if path == "generic":
         bundle = coefficients_generic(spec.phi, s, spec.b, model.m_dim)
-        _guard_delta(bundle.Delta, s)
+        _guard(bundle.Delta, s, "Delta = 0")
         return bundle.Phi / (2.0 * alpha * bundle.Delta**2) * (
             bvy_y + alpha * bundle.Q * bvy_v)
     family = spec.phi.name
-    bundle = _closed_bundle(family, s, spec.b, model.m_dim)
-    _guard_delta(bundle.Delta, s)
-    w, _, _ = _factor_derivs(family, s, spec.b, model.m_dim)
-    return _FACTOR_SIGN[family] * (w / alpha * bvy_y + w * bundle.Q * bvy_v)
+    forms = _rational_forms(family, spec.b, model.m_dim)
+    q = _horner(forms.N, s) / _guard(_horner(forms.D, s), s, f"pole of Q ({family})")
+    dn = _guard(_horner(forms.DN, s), s, "Delta = 0")
+    w = _horner(forms.PN, s) / (2.0 * dn**2)
+    return w / alpha * bvy_y + w * q * bvy_v
 
 
 def s_curvature_via_tensors(model: ReductiveModel, v: InvariantVector,
@@ -426,7 +426,7 @@ def s_curvature_via_tensors(model: ReductiveModel, v: InvariantVector,
         return 0.0
     s = v.c * float(y[-1]) / alpha
     bundle = coefficients_generic(spec.phi, s, spec.b, model.m_dim)
-    _guard_delta(bundle.Delta, s)
+    _guard(bundle.Delta, s, "Delta = 0")
     return -bundle.Phi / (2.0 * alpha * bundle.Delta**2) * (
         r00 - 2.0 * alpha * bundle.Q * s0)
 
@@ -439,7 +439,7 @@ def s_curvature_via_tensors(model: ReductiveModel, v: InvariantVector,
 class BerwaldWorkspace:
     """Intermediates of the closed-form E assembly at one (model, v, y).
 
-    ``factor`` is the family scalar W(s) with its first two s-derivatives;
+    ``factor`` is W(s) = Phi/(2 Delta^2) with its first two s-derivatives;
     ``s_y`` and ``s_yy`` are the y-derivatives of s = beta/alpha in the
     origin frame (where the lowered index is trivial: y_i = y^i).
     """
@@ -454,27 +454,27 @@ class BerwaldWorkspace:
     y_lowered: np.ndarray = field(repr=False)
 
 
+def _s_derivs(c: float, y: np.ndarray, alpha: float):
+    """s = c y_n / alpha with its gradient and Hessian in y."""
+    s = c * float(y[-1]) / alpha
+    b_vec = np.zeros(len(y))
+    b_vec[-1] = c
+    s_y = (b_vec * alpha - s * y) / alpha**2
+    s_yy = (-(np.outer(b_vec, y) + np.outer(y, b_vec)) * alpha
+            + 3.0 * s * np.outer(y, y) - alpha**2 * s * np.eye(len(y))) / alpha**4
+    return s, s_y, s_yy
+
+
 def berwald_workspace(model: ReductiveModel, v: InvariantVector,
                       spec: MetricSpec, y) -> BerwaldWorkspace:
     """Populate the scalar factor and the s-derivative arrays for E.
 
-    Only the infinite-series and exponential profiles carry a closed-form
-    factor; other families raise ValueError.
+    Only the profiles in ``_RATIONAL_Q`` (infinite series and exponential)
+    carry a closed-form factor; other families raise ValueError.
     """
     y, alpha = _check_inputs(model, v, spec, y)
-    family = spec.phi.name
-    if family not in _FACTOR_POLYS:
-        raise ValueError(
-            f"closed-form mean Berwald factor exists only for "
-            f"{sorted(_FACTOR_POLYS)}, not {family!r}")
-    n = model.m_dim
-    s = v.c * float(y[-1]) / alpha
-    b_vec = np.zeros(n)
-    b_vec[-1] = v.c
-    s_y = (b_vec * alpha - s * y) / alpha**2
-    s_yy = (-(np.outer(b_vec, y) + np.outer(y, b_vec)) * alpha
-            + 3.0 * s * np.outer(y, y) - alpha**2 * s * np.eye(n)) / alpha**4
-    w, dw, d2w = _factor_derivs(family, s, spec.b, n)
+    s, s_y, s_yy = _s_derivs(v.c, y, alpha)
+    w, dw, d2w = _factor_derivs(spec.phi.name, s, spec.b, model.m_dim)
     return BerwaldWorkspace(s=s, alpha=alpha, factor=w, dfactor_ds=dw,
                             d2factor_ds2=d2w, s_y=s_y, s_yy=s_yy,
                             y_lowered=y.copy())
@@ -488,48 +488,44 @@ def _bracket_matrix(model: ReductiveModel, v: InvariantVector) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _mean_berwald_closed(model, v, spec, y) -> np.ndarray:
-    n = model.m_dim
-    family = spec.phi.name
-    ws = berwald_workspace(model, v, spec, y)
-    bundle = _closed_bundle(family, ws.s, spec.b, n)
-    _guard_delta(bundle.Delta, ws.s)
+def _hessian_of_product(f, s_y, s_yy, g, g_y, g_yy) -> np.ndarray:
+    """Hessian in y of f(s(y)) g(y) from f = (f, f', f'') at s and g, g_y, g_yy.
+
+    Every term is exactly symmetric, so the sum is too.
+    """
+    f0, f1, f2 = f
+    t = np.outer(s_y, g_y)
+    return f2 * g * np.outer(s_y, s_y) + f1 * g * s_yy + f1 * (t + t.T) + f0 * g_yy
+
+
+def _mean_berwald_closed(model, v, spec, y, alpha) -> np.ndarray:
+    """Half the Hessian of the closed S, assembled at y/|y| and divided by |y|."""
+    n, family = model.m_dim, spec.phi.name
+    y = y / alpha
+    s, s_y, s_yy = _s_derivs(v.c, y, 1.0)
+    w = _factor_derivs(family, s, spec.b, n)
+    c = _closed_coefficients(family, s, spec.b, n)
     p = _bracket_matrix(model, v)
     if not p.any():
         return np.zeros((n, n))
-    alpha = ws.alpha
-    w, q = ws.factor, bundle.Q
-    vf = v.frame_coords(model)
     py = p @ y
-    bvy_y = float(py @ y)
-    bvy_v = float(py @ vf)
+    g = float(py @ y)                     # <[v,y],y> at |y| = 1
     u = p.T @ y + py                      # <[v,v_i],y> + <[v,y],v_i>
-    qv = v.c * p[-1, :]                   # <[v,v_i],v>
-    d_w = ws.dfactor_ds * ws.s_y
-    d2_w = ws.d2factor_ds2 * np.outer(ws.s_y, ws.s_y) + ws.dfactor_ds * ws.s_yy
-
-    term_yy = (d2_w / alpha
-               - (np.outer(y, d_w) + np.outer(d_w, y)) / alpha**3
-               - w * np.eye(n) / alpha**3
-               + 3.0 * w * np.outer(y, y) / alpha**5) * bvy_y
-    cross = d_w / alpha - w * y / alpha**3
-    term_mixed = np.outer(u, cross) + np.outer(cross, u) + w / alpha * (p + p.T)
-
-    g = q * d_w + w * bundle.Qp * ws.s_y
-    term_vv = (q * d2_w
-               + bundle.Qp * (np.outer(ws.s_y, d_w) + np.outer(d_w, ws.s_y))
-               + w * bundle.Qpp * np.outer(ws.s_y, ws.s_y)
-               + w * bundle.Qp * ws.s_yy) * bvy_v
-    term_vcross = np.outer(qv, g) + np.outer(g, qv)
-
-    return _FACTOR_SIGN[family] * 0.5 * (term_yy + term_mixed + term_vv + term_vcross)
+    t = np.outer(u, y)
+    g_yy = (p + p.T) - (t + t.T) - g * np.eye(n) + 3.0 * g * np.outer(y, y)
+    first = _hessian_of_product(w, s_y, s_yy, g, u - g * y, g_yy)
+    wq = (w[0] * c.Q, w[1] * c.Q + w[0] * c.Qp,
+          w[2] * c.Q + 2.0 * w[1] * c.Qp + w[0] * c.Qpp)
+    second = _hessian_of_product(wq, s_y, s_yy, float(py @ v.frame_coords(model)),
+                                 v.c * p[-1, :], 0.0)  # <[v,v_i],v>; linear in y
+    return 0.5 * (first + second) / alpha
 
 
-def _mean_berwald_fd(model, v, spec, y, alpha, step=None) -> np.ndarray:
+def _mean_berwald_fd(model, v, spec, y, h) -> np.ndarray:
+    """Half the Richardson-refined central-difference Hessian of S at unit y."""
     n = model.m_dim
-    h = step if step is not None else 1e-4 * alpha
     if h <= 0.0 or np.all(y + h * np.eye(n)[0] == y):
-        raise DomainError(f"finite-difference step underflow (h = {h:.3g})")
+        raise DomainError(f"finite-difference step underflow (h = {h:.3g} |y|)")
 
     def s_of(z):
         return s_curvature(model, v, spec, z, path="generic")
@@ -559,20 +555,22 @@ def mean_berwald(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
                  step: float | None = None) -> np.ndarray:
     """E(H, y) as an n x n symmetric matrix.
 
-    "closed_form" assembles the per-family expansion (exactly symmetric);
+    "closed_form" assembles the Hessian of the closed S (exactly symmetric);
     "finite_difference" returns half the Richardson-refined central-difference
-    Hessian of the generic-path S.  Homogeneity: E(lambda y) = E(y)/lambda.
+    Hessian of the generic-path S, with step ``step`` (default 1e-4 |y|).
+    Both routes work at y/|y| and divide by |y|: E(lambda y) = E(y)/lambda.
     """
     y, alpha = _check_inputs(model, v, spec, y, mode)
     n = model.m_dim
     if v.c == 0.0:
         return np.zeros((n, n))
     if path == "closed_form":
-        return _mean_berwald_closed(model, v, spec, y)
+        return _mean_berwald_closed(model, v, spec, y, alpha)
     if path == "finite_difference":
         if not _bracket_matrix(model, v).any():
             return np.zeros((n, n))
-        return _mean_berwald_fd(model, v, spec, y, alpha, step=step)
+        h = 1e-4 if step is None else step / alpha
+        return _mean_berwald_fd(model, v, spec, y / alpha, h) / alpha
     raise ValueError(
         f"path must be 'closed_form' or 'finite_difference', got {path!r}")
 

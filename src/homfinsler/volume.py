@@ -14,7 +14,8 @@ with the auxiliary weight
 
 For phi = 1 both factors are exactly 1.  The integrals use Gauss-Jacobi
 (Gegenbauer) rules, which integrate the weight exactly, doubling the node
-count until two successive factors agree to a relative _RTOL.
+count until two successive factors agree to a relative _RTOL.  The bh sum
+is scaled by its largest term, so phi^-n does not overflow at large n.
 """
 
 from __future__ import annotations
@@ -108,18 +109,23 @@ def _factor(phi, b, n, form, count):
     s = b * x
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if form == "bh":
-            vals = np.fromiter((phi.phi(t) for t in s), float, count) ** -n
+            # phi^-n = sign(phi)^n exp(e) with e = -n log|phi|, summed relative
+            # to the largest exponent m so that large n cannot overflow
+            p = np.fromiter((phi.phi(t) for t in s), float, count)
+            e = -n * np.log(np.abs(p))
+            m = float(np.max(e))
+            vals = np.sign(p) ** n * np.exp(e - m)
         else:
             vals = np.fromiter((t_function(phi, t, b, n) for t in s), float, count)
         if not np.all(np.isfinite(vals)):
             raise QuadratureError(
                 f"{form} integrand not finite at {count} nodes (b = {b:.6g}, n = {n})")
         integral = float(w @ vals)
-    if form == "ht":
-        return integral / _mu0(n)
-    if integral == 0.0:
-        raise QuadratureError("bh denominator integral evaluated to zero")
-    return _mu0(n) / integral
+        if form == "ht":
+            return integral / _mu0(n)
+        if integral == 0.0:
+            raise QuadratureError("bh denominator integral evaluated to zero")
+        return float(np.sign(integral) * np.exp(math.log(_mu0(n) / abs(integral)) - m))
 
 
 def _volume_with_count(phi, b, n, form, mode, nodes):

@@ -1,5 +1,7 @@
+import mpmath
 import numpy as np
 import pytest
+import sympy
 
 from conftest import FAMILIES, sample_in_domain, spec_for
 
@@ -198,8 +200,9 @@ class TestSCurvature:
         with pytest.raises(ValueError, match="path"):
             s_curvature(e.model, e.v, spec, [1.0, 1.0], path="nope")
 
-    @pytest.mark.parametrize("y", [[np.nan, 1.0, 1.0], [1e-300] * 3, [1e200] * 3],
-                             ids=["nan", "underflow", "overflow"])
+    @pytest.mark.parametrize("y", [[np.nan, 1.0, 1.0], [1e-300] * 3, [1e-160] * 3,
+                                   [1e200] * 3],
+                             ids=["nan", "underflow", "subnormal_square", "overflow"])
     def test_unrepresentable_y_is_domain_error(self, y):
         e = catalog_get("heisenberg3")
         spec = spec_for(e, "exponential")
@@ -243,7 +246,7 @@ class TestSCurvature:
         spec = spec_for(e, family)
         for y in sample_in_domain(e, family, 10, rng):
             s1 = s_curvature(e.model, e.v, spec, y)
-            for lam in (0.5, 2.0, 10.0):
+            for lam in (1e-150, 0.5, 2.0, 10.0, 1e150):
                 s_lam = s_curvature(e.model, e.v, spec, lam * y)
                 assert abs(s_lam - lam * s1) <= 1e-10 * (1.0 + abs(lam * s1))
 
@@ -352,7 +355,7 @@ class TestMeanBerwald:
         spec = spec_for(e, family)
         for y in sample_in_domain(e, family, 5, rng):
             base = mean_berwald(e.model, e.v, spec, y)
-            for lam in (0.5, 2.0, 10.0):
+            for lam in (1e-150, 0.5, 2.0, 10.0, 1e150):
                 scaled = mean_berwald(e.model, e.v, spec, lam * y)
                 target = base / lam
                 assert np.max(np.abs(scaled - target)) \
@@ -409,6 +412,45 @@ class TestCurvatureSample:
                                   path="finite_difference")
         assert sample.path == "finite_difference"
         assert np.max(np.abs(sample.E - E_SOLV_EXP)) <= 1e-5
+
+
+class TestSymbolicOracle:
+    @pytest.mark.parametrize("family,s_ranges", [
+        ("infinite_series", [(-2.0, -0.2), (0.2, 3.0)]),
+        ("exponential", [(-2.0, 0.9)]),
+    ])
+    def test_rational_forms_match_sympy(self, family, s_ranges):
+        # Q ... W'' derived from phi by sympy, evaluated with 30 digits
+        s, b, n = sympy.symbols("s b n")
+        phi = {"infinite_series": s**2 / (s - 1), "exponential": sympy.exp(s)}[family]
+        q = sympy.simplify(sympy.diff(phi, s) / (phi - s * sympy.diff(phi, s)))
+        qp, qpp = sympy.diff(q, s), sympy.diff(q, s, 2)
+        delta = 1 + s * q + (b**2 - s**2) * qp
+        big_phi = (-(q - s * qp) * (n * delta + 1 + s * q)
+                   - (b**2 - s**2) * (1 + s * q) * qpp)
+        w = big_phi / (2 * delta**2)
+        exact = sympy.lambdify((s, b, n), [q, qp, qpp, delta, big_phi, w,
+                                           sympy.diff(w, s), sympy.diff(w, s, 2)],
+                               "mpmath")
+        closed = {"infinite_series": coefficients_infinite_series,
+                  "exponential": coefficients_exponential}[family]
+        rng = np.random.default_rng(12)
+        checked = 0
+        while checked < 60:
+            lo, hi = s_ranges[rng.integers(len(s_ranges))]
+            sv, bv = float(rng.uniform(lo, hi)), float(rng.uniform(0.05, 0.95))
+            nv = int(rng.integers(2, 13))
+            with mpmath.workdps(30):
+                ref = [float(x) for x in exact(mpmath.mpf(sv), mpmath.mpf(bv), nv)]
+            if abs(ref[3]) < 0.05:
+                continue  # keep clear of Delta = 0, where W is ill-conditioned
+            c = closed(sv, bv, nv)
+            got = [c.Q, c.Qp, c.Qpp, c.Delta, c.Phi, *_factor_derivs(family, sv, bv, nv)]
+            # relative, on a scale floored at 1 where a value crosses zero
+            for name, g, r in zip(("Q", "Q'", "Q''", "Delta", "Phi", "W", "W'", "W''"),
+                                  got, ref):
+                assert abs(g - r) <= 1e-12 * max(abs(r), 1.0), (family, name, sv, bv, nv)
+            checked += 1
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,7 @@ def _mp_factor(phi, b, n, form):
 
 
 class TestOracles:
-    @pytest.mark.parametrize("n", [12, 16, 20, 51])
+    @pytest.mark.parametrize("n", [12, 16, 20, 51, 330, 400])
     def test_randers_bh_closed_form_large_n(self, n):
         f = volume_coefficient(phi_family("randers"), 0.9, n, "bh")
         assert f == pytest.approx((1 - 0.9**2) ** ((n + 1) / 2), rel=1e-12)
