@@ -17,6 +17,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -194,6 +195,18 @@ class ReductiveModel:
         object.__setattr__(self, "inner_product", _readonly(g))
         object.__setattr__(self, "frame", _readonly(f))
 
+    @functools.cached_property
+    def _brackets(self) -> np.ndarray:
+        """br[a, b, c] = <[v_a, v_b]_m, v_c> for the orthonormal frame (read-only).
+
+        Computed once per model; [v, y]_m = c (y @ br[-1]) in frame
+        coordinates.  Not a field, so equality and repr ignore it.
+        """
+        h, f = self.h_dim, self.frame
+        tm = self.structure.tensor[h:, h:, h:]   # only [m, m] brackets reach m
+        zm = np.tensordot(f, np.tensordot(f, tm, axes=(1, 0)), axes=(1, 1))
+        return _readonly(zm.transpose(1, 0, 2) @ (self.inner_product @ f.T))
+
 
 @dataclass(frozen=True)
 class InvariantVector:
@@ -257,18 +270,6 @@ def bracket_m(model: ReductiveModel, x, y) -> np.ndarray:
     ym = model.frame.T @ y
     zm = _bracket_m_of_mcoords(model, xm, ym)
     return model.frame @ (model.inner_product @ zm)
-
-
-def _frame_bracket_tensor(model: ReductiveModel) -> np.ndarray:
-    """br[a, b, c] = <[v_a, v_b]_m, v_c> for the orthonormal frame."""
-    h = model.h_dim
-    dim = model.structure.dim_g
-    n = model.m_dim
-    xg = np.zeros((n, dim))
-    xg[:, h:] = model.frame
-    zg = np.einsum("ai,bj,ijk->abk", xg, xg, model.structure.tensor)
-    zm = zg[:, :, h:]
-    return np.einsum("abm,mq,cq->abc", zm, model.inner_product, model.frame)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +376,7 @@ def christoffel_origin(model: ReductiveModel) -> np.ndarray:
         (1/2) * (-<[v_i, v_j]_m, v_l> + <[v_l, v_i]_m, v_j> + <[v_l, v_j]_m, v_i>)
     and the i < j entries mirror the i > j ones (torsion-free symmetry).
     """
-    return _christoffel(_frame_bracket_tensor(model))
+    return _christoffel(model._brackets)
 
 
 def origin_tensors(model: ReductiveModel, v: InvariantVector) -> OriginTensors:
@@ -387,7 +388,7 @@ def origin_tensors(model: ReductiveModel, v: InvariantVector) -> OriginTensors:
     symmetric.
     """
     n = model.m_dim
-    br = _frame_bracket_tensor(model)
+    br = model._brackets
     gamma = _christoffel(br)
     if v.c == 0.0:
         return OriginTensors(gamma=gamma, r=np.zeros((n, n)), s=np.zeros((n, n)))

@@ -32,6 +32,7 @@ from . import catalog
 from .algebra import InvariantVector, ReductiveModel, StructureConstants, build_model, validate_model
 from .curvature import (
     _RATIONAL_Q,
+    _s_rows,
     mean_berwald,
     s_curvature,
     s_curvature_via_tensors,
@@ -388,22 +389,23 @@ def _cmd_scan(args, out):
         raise ConfigError("--grid must be at least 1")
     n = model.m_dim
     dirs = unit_directions(n, args.grid, np.random.default_rng(args.seed))
+    closed = _s_rows(model, v, spec, dirs, "closed_form", mode)
+    generic = _s_rows(model, v, spec, dirs, "generic", mode)
+    # a row fails when either route flags it (the scalar call would raise)
+    failed = (closed.flag > 0) | (generic.flag > 0)
+    s_closed = np.where(failed, math.nan, closed.S)
+    s_generic = np.where(failed, math.nan, generic.S)
+    columns = zip(dirs.tolist(), (v.c * dirs[:, -1]).tolist(), s_closed.tolist(),
+                  s_generic.tolist(), np.abs(s_closed - s_generic).tolist())
     records = []
-    for idx, y in enumerate(dirs):
+    for idx, (y, s, s_c, s_g, diff) in enumerate(columns):
         rec = {"index": idx}
         for comp in range(n):
-            rec[f"y{comp}"] = float(y[comp])
-        rec["s"] = v.c * float(y[-1])
-        try:
-            s_closed = s_curvature(model, v, spec, y, path="closed_form", mode=mode)
-            s_generic = s_curvature(model, v, spec, y, path="generic", mode=mode)
-            rec["S_closed"] = s_closed
-            rec["S_generic"] = s_generic
-            rec["abs_diff"] = abs(s_closed - s_generic)
-        except DomainError:
-            rec["S_closed"] = math.nan
-            rec["S_generic"] = math.nan
-            rec["abs_diff"] = math.nan
+            rec[f"y{comp}"] = y[comp]
+        rec["s"] = s
+        rec["S_closed"] = s_c
+        rec["S_generic"] = s_g
+        rec["abs_diff"] = diff
         records.append(rec)
     _emit(records, args.format or "csv", out)
     return 0

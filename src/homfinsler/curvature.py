@@ -29,11 +29,20 @@ The mean Berwald curvature E_ij = (1/2) d^2 S / dy_i dy_j has a closed form
 for the same profiles (the Hessians of W(s) <[v,y],y>/alpha and of
 (WQ)(s) <[v,y],v>, assembled at y/|y| and divided by |y|), and a
 finite-difference route that Hessians the generic S.
+
+Every route reads [v,y]_m = c (y @ br[-1]) from the frame brackets
+br[a,b,c] = <[v_a,v_b]_m, v_c> that each model computes once.  A block of
+directions Y (N x n) is then one matmul plus elementwise arithmetic in s:
+``_s_rows`` evaluates the generic or closed S for every row at once, each
+scalar guard becoming a per-row locus flag.  The finite-difference Hessian,
+``isotropy_test`` and the CLI ``scan`` use it; single-vector calls keep the
+scalar path.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from collections import namedtuple
@@ -45,11 +54,10 @@ from numpy.polynomial import polynomial as P
 from .algebra import (
     InvariantVector,
     ReductiveModel,
-    bracket_m,
     origin_tensors,
     validate_model,
 )
-from .errors import DomainError, SingularityError, ValidatedModeError
+from .errors import DomainError, FinslerError, SingularityError, ValidatedModeError
 from .metrics import MetricSpec, PhiFamily, shen_check
 
 __all__ = [
@@ -112,11 +120,17 @@ def coefficients_generic(phi: PhiFamily, s: float, b: float, n: int) -> Coeffici
         Q   = phi'/D
         Q'  = phi phi'' / D^2
         Q'' = ((phi' phi'' + phi phi''') D + 2 s phi phi''^2) / D^3.
+
+    A pole of phi (an evaluator's ZeroDivisionError or a non-finite value)
+    raises SingularityError.
     """
-    p = phi.phi(s)
-    p1 = phi.dphi(s)
-    p2 = phi.d2phi(s)
-    p3 = phi.d3phi(s)
+    try:
+        vals = (phi.phi(s), phi.dphi(s), phi.d2phi(s), phi.d3phi(s))
+    except ZeroDivisionError:
+        vals = (math.nan,)
+    if not all(map(math.isfinite, vals)):
+        raise SingularityError(f"pole of phi ({phi.name}) at s = {s:.6g}")
+    p, p1, p2, p3 = vals
     d = p - s * p1
     if abs(d) < _SING_TOL * max(1.0, abs(p), abs(s * p1)):
         raise SingularityError(f"phi - s*phi' = 0 at s = {s:.6g} ({phi.name})")
@@ -130,8 +144,8 @@ def coefficients_generic(phi: PhiFamily, s: float, b: float, n: int) -> Coeffici
                              Delta=delta, Phi=phi_big)
 
 
-def _horner(c, s: float) -> float:
-    """Value at s of the polynomial with ascending coefficients c."""
+def _horner(c, s):
+    """Value at s (a float or an array) of the polynomial with ascending coefficients c."""
     out = 0.0
     for a in reversed(c):
         out = out * s + a
@@ -336,11 +350,21 @@ def _check_inputs(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, y
     with np.errstate(over="ignore"):
         alpha = float(np.linalg.norm(y))
     if not sys.float_info.min <= alpha * alpha < math.inf:
-        if not y.any():
-            raise DomainError("y = 0 is outside the slit tangent space")
-        raise DomainError(
-            f"|y| = {alpha:.3g}: y must be finite, with |y|^2 a normal float "
-            "(neither subnormal nor overflowing)")
+        raise _y_error(y, alpha)
+    _check_spec(model, v, spec, mode)
+    return y, alpha
+
+
+def _y_error(y: np.ndarray, alpha: float) -> DomainError:
+    if not y.any():
+        return DomainError("y = 0 is outside the slit tangent space")
+    return DomainError(
+        f"|y| = {alpha:.3g}: y must be finite, with |y|^2 a normal float "
+        "(neither subnormal nor overflowing)")
+
+
+def _check_spec(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, mode: str):
+    """The checks that do not depend on y: spec.b against |v|, and ``mode``."""
     if abs(spec.b - v.b) > 1e-9:
         raise ValueError(
             f"MetricSpec.b = {spec.b} does not match |v| = {v.b}; "
@@ -350,7 +374,6 @@ def _check_inputs(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, y
         _require_validated(model, v, spec)
     elif mode != "formal":
         raise ValueError(f"mode must be 'formal' or 'validated', got {mode!r}")
-    return y, alpha
 
 
 def _require_validated(model: ReductiveModel, v: InvariantVector, spec: MetricSpec):
@@ -388,12 +411,11 @@ def s_curvature(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
         raise ValueError(f"path must be 'closed_form' or 'generic', got {path!r}")
     if v.c == 0.0:
         return 0.0
-    vf = v.frame_coords(model)
-    br = bracket_m(model, vf, y)
+    br = v.c * (y @ model._brackets[-1])         # [v, y]_m
     if not br.any():
         return 0.0
     bvy_y = float(br @ y)
-    bvy_v = float(br @ vf)
+    bvy_v = v.c * float(br[-1])                 # <[v, y]_m, v>
     s = v.c * float(y[-1]) / alpha
     if path == "generic":
         bundle = coefficients_generic(spec.phi, s, spec.b, model.m_dim)
@@ -406,6 +428,119 @@ def s_curvature(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
     dn = _guard(_horner(forms.DN, s), s, "Delta = 0")
     w = _horner(forms.PN, s) / (2.0 * dn**2)
     return w / alpha * bvy_y + w * q * bvy_v
+
+
+# Per-row flags of _s_rows: 0 marks a regular row, the others the locus at
+# which the scalar call for that row raises (see _row_error).
+_ROW_Y, _ROW_PHI_POLE, _ROW_PHI_D, _ROW_Q_POLE, _ROW_DELTA = 1, 2, 3, 4, 5
+
+_Rows = namedtuple("_Rows", "S flag s phi")
+
+
+def _phi_at(f, s: float) -> float:
+    try:
+        return f(s)
+    except ZeroDivisionError:
+        return math.nan
+
+
+# The two helpers below keep each row of a block bit-identical to the scalar
+# call: numpy's array power rounds differently from Python's float ``**`` in
+# a few per cent of entries (also inside the profile evaluators, such as
+# (s - 1)**3), which near Delta = 0 moved S by up to 2e-14 relative.
+
+def _phi_rows(f, s: np.ndarray) -> np.ndarray:
+    """The scalar evaluator f at every entry of s; a pole (ZeroDivisionError) reads nan."""
+    ts = s.tolist()
+    try:
+        return np.fromiter(map(f, ts), float, len(ts))
+    except ZeroDivisionError:
+        return np.fromiter((_phi_at(f, t) for t in ts), float, len(ts))
+
+
+def _pow_rows(x: np.ndarray, k: int) -> np.ndarray:
+    """x**k entry by entry, rounded as the scalar route rounds it."""
+    return np.fromiter(map(pow, x.tolist(), itertools.repeat(k)), float, len(x))
+
+
+def _s_rows(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, Y,
+            path: str, mode: str = "formal") -> _Rows:
+    """S(H, y) at every row y of Y (N x n) by ``path``, in one array pass.
+
+    The block form of ``s_curvature``: spec.b and ``mode`` are checked once,
+    and every scalar guard is a row mask with the same threshold.  A row at
+    which the scalar call raises gets S = nan and a nonzero ``flag``
+    (``_row_error`` rebuilds that error); a row with [v, y]_m = 0 gets exactly
+    0.  ``s`` is beta/alpha per row and ``phi`` is phi(s) on the generic
+    route (None on the closed route).
+    """
+    _check_spec(model, v, spec, mode)
+    if path not in ("closed_form", "generic"):
+        raise ValueError(f"path must be 'closed_form' or 'generic', got {path!r}")
+    Y = np.asarray(Y, dtype=float)
+    n, b, c = model.m_dim, spec.b, v.c
+    if Y.ndim != 2 or Y.shape[1] != n:
+        raise ValueError(f"Y must have shape (N, {n})")
+    # Stacked one-row products (Y[:, None, :] @ ...) run the same vector
+    # kernels as the scalar route's y @ y and y @ br[-1], so they round alike.
+    stacked = Y[:, None, :]
+    with np.errstate(all="ignore"):
+        alpha = np.sqrt((stacked @ Y[:, :, None])[:, 0, 0])
+        sq = alpha * alpha
+        bad_y = ~((sq >= sys.float_info.min) & (sq < math.inf))
+        by = c * (stacked @ model._brackets[-1])[:, 0]           # [v, y]_m per row
+        live = by.any(axis=1)
+        bvy_y = (by[:, None, :] @ Y[:, :, None])[:, 0, 0]
+        bvy_v = c * by[:, -1]
+        s = c * Y[:, -1] / alpha
+        if path == "generic":
+            phi = spec.phi
+            p, p1, p2, p3 = (_phi_rows(f, s) for f in (phi.phi, phi.dphi, phi.d2phi, phi.d3phi))
+            d = p - s * p1
+            q = p1 / d
+            qp = p * p2 / _pow_rows(d, 2)
+            qpp = ((p1 * p2 + p * p3) * d + 2.0 * s * p * _pow_rows(p2, 2)) / _pow_rows(d, 3)
+            delta = 1.0 + s * q + (b * b - s * s) * qp
+            phi_big = (-(q - s * qp) * (n * delta + 1.0 + s * q)
+                       - (b * b - s * s) * (1.0 + s * q) * qpp)
+            out = (phi_big / (2.0 * alpha * _pow_rows(delta, 2))
+                   * (bvy_y + alpha * q * bvy_v))
+            pole = ~(np.isfinite(p) & np.isfinite(p1) & np.isfinite(p2) & np.isfinite(p3))
+            d_scale = np.maximum(np.maximum(np.abs(p), np.abs(s * p1)), 1.0)
+            # the scalar checks run in the reverse order; a later mask wins
+            loci = ((np.abs(delta) < _SING_TOL, _ROW_DELTA),
+                    (np.abs(d) < _SING_TOL * d_scale, _ROW_PHI_D),
+                    (pole, _ROW_PHI_POLE))
+        else:
+            p = None
+            forms = _rational_forms(spec.phi.name, b, n)
+            den = _horner(forms.D, s)
+            dn = _horner(forms.DN, s)
+            q = _horner(forms.N, s) / den
+            w = _horner(forms.PN, s) / (2.0 * _pow_rows(dn, 2))
+            out = w / alpha * bvy_y + w * q * bvy_v
+            loci = ((np.abs(dn) < _SING_TOL, _ROW_DELTA),
+                    (np.abs(den) < _SING_TOL, _ROW_Q_POLE))
+    flag = np.zeros(len(Y), dtype=np.int8)
+    for mask, code in loci:
+        flag[mask] = code
+    flag[~live] = 0
+    flag[bad_y] = _ROW_Y
+    S = np.where(flag > 0, math.nan, np.where(live, out, 0.0))
+    return _Rows(S=S, flag=flag, s=s, phi=p)
+
+
+def _row_error(rows: _Rows, k: int, y: np.ndarray, name: str) -> FinslerError:
+    """The error that the scalar S raises at y, row k of a flagged block."""
+    code, s = int(rows.flag[k]), float(rows.s[k])
+    if code == _ROW_Y:
+        with np.errstate(over="ignore"):
+            return _y_error(y, float(np.linalg.norm(y)))
+    if code == _ROW_PHI_D:
+        return SingularityError(f"phi - s*phi' = 0 at s = {s:.6g} ({name})")
+    locus = {_ROW_PHI_POLE: f"pole of phi ({name})", _ROW_Q_POLE: f"pole of Q ({name})",
+             _ROW_DELTA: "Delta = 0"}[code]
+    return SingularityError(f"{locus} at s = {s:.6g}")
 
 
 def s_curvature_via_tensors(model: ReductiveModel, v: InvariantVector,
@@ -480,14 +615,6 @@ def berwald_workspace(model: ReductiveModel, v: InvariantVector,
                             y_lowered=y.copy())
 
 
-def _bracket_matrix(model: ReductiveModel, v: InvariantVector) -> np.ndarray:
-    """P[:, j] = [v, v_j]_m in frame coordinates."""
-    n = model.m_dim
-    vf = v.frame_coords(model)
-    cols = [bracket_m(model, vf, np.eye(n)[j]) for j in range(n)]
-    return np.column_stack(cols)
-
-
 def _hessian_of_product(f, s_y, s_yy, g, g_y, g_yy) -> np.ndarray:
     """Hessian in y of f(s(y)) g(y) from f = (f, f', f'') at s and g, g_y, g_yy.
 
@@ -505,7 +632,7 @@ def _mean_berwald_closed(model, v, spec, y, alpha) -> np.ndarray:
     s, s_y, s_yy = _s_derivs(v.c, y, 1.0)
     w = _factor_derivs(family, s, spec.b, n)
     c = _closed_coefficients(family, s, spec.b, n)
-    p = _bracket_matrix(model, v)
+    p = v.c * model._brackets[-1].T       # P[:, j] = [v, v_j]_m
     if not p.any():
         return np.zeros((n, n))
     py = p @ y
@@ -521,32 +648,59 @@ def _mean_berwald_closed(model, v, spec, y, alpha) -> np.ndarray:
     return 0.5 * (first + second) / alpha
 
 
+@functools.lru_cache(maxsize=32)
+def _stencil(n: int) -> np.ndarray:
+    """Points of one central-difference Hessian level, in units of the step.
+
+    The centre, then for each i the pair +e_i, -e_i and the four corners
+    (+-e_i +- e_j) of every j > i: 1 + 2n + 2n(n - 1) rows, in the order in
+    which a row-by-row fill of the full Hessian first meets them.
+    """
+    eye = np.eye(n)
+    rows = [np.zeros(n)]
+    for i in range(n):
+        rows += [eye[i], -eye[i]]
+        for j in range(i + 1, n):
+            rows += [eye[i] + eye[j], eye[i] - eye[j], -eye[i] + eye[j], -eye[i] - eye[j]]
+    out = np.array(rows)
+    out.setflags(write=False)
+    return out
+
+
+def _stencil_hessian(vals: list, n: int, hh: float) -> np.ndarray:
+    """The central-difference Hessian from S at the ``_stencil`` points; i < j mirrored."""
+    out = np.empty((n, n))
+    s0, k = vals[0], 1
+    for i in range(n):
+        out[i, i] = (vals[k] - 2.0 * s0 + vals[k + 1]) / hh**2
+        k += 2
+        for j in range(i + 1, n):
+            out[i, j] = out[j, i] = (vals[k] - vals[k + 1] - vals[k + 2]
+                                     + vals[k + 3]) / (4.0 * hh**2)
+            k += 4
+    return out
+
+
 def _mean_berwald_fd(model, v, spec, y, h) -> np.ndarray:
-    """Half the Richardson-refined central-difference Hessian of S at unit y."""
+    """Half the Richardson-refined central-difference Hessian of S at unit y.
+
+    The stencils of both step sizes are one block of generic S; the first
+    flagged point raises the error that the scalar S raises there.
+    """
     n = model.m_dim
     if h <= 0.0 or np.all(y + h * np.eye(n)[0] == y):
         raise DomainError(f"finite-difference step underflow (h = {h:.3g} |y|)")
-
-    def s_of(z):
-        return s_curvature(model, v, spec, z, path="generic")
-
-    def hessian(hh):
-        out = np.empty((n, n))
-        s0 = s_of(y)
-        for i in range(n):
-            ei = np.eye(n)[i]
-            out[i, i] = (s_of(y + hh * ei) - 2.0 * s0 + s_of(y - hh * ei)) / hh**2
-            for j in range(n):
-                if j == i:
-                    continue
-                ej = np.eye(n)[j]
-                out[i, j] = (s_of(y + hh * ei + hh * ej) - s_of(y + hh * ei - hh * ej)
-                             - s_of(y - hh * ei + hh * ej)
-                             + s_of(y - hh * ei - hh * ej)) / (4.0 * hh**2)
-        return out
-
+    points = _stencil(n)
+    block = y + np.concatenate([(h / 2.0) * points, h * points])
+    rows = _s_rows(model, v, spec, block, "generic")
+    bad = np.flatnonzero(rows.flag)
+    if bad.size:
+        raise _row_error(rows, bad[0], block[bad[0]], spec.phi.name)
+    vals = rows.S.tolist()
+    m = len(points)
     # one Richardson refinement of the O(h^2) central stencils
-    refined = (4.0 * hessian(h / 2.0) - hessian(h)) / 3.0
+    refined = (4.0 * _stencil_hessian(vals[:m], n, h / 2.0)
+               - _stencil_hessian(vals[m:], n, h)) / 3.0
     return 0.5 * refined
 
 
@@ -567,7 +721,7 @@ def mean_berwald(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
     if path == "closed_form":
         return _mean_berwald_closed(model, v, spec, y, alpha)
     if path == "finite_difference":
-        if not _bracket_matrix(model, v).any():
+        if not model._brackets[-1].any():
             return np.zeros((n, n))
         h = 1e-4 if step is None else step / alpha
         return _mean_berwald_fd(model, v, spec, y / alpha, h) / alpha
@@ -646,25 +800,22 @@ def isotropy_test(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
     if sample_count < n + 1:
         raise ValueError(f"sample_count must be >= n + 1 = {n + 1}")
     rng = np.random.default_rng(seed)
-    s_vals = []
-    f_vals = []
-    attempts = 0
-    while len(s_vals) < sample_count:
-        attempts += 1
-        if attempts > 200 * sample_count:
+    limit = 200 * sample_count
+    s_parts, f_parts = [], []
+    used = attempts = 0
+    while used < sample_count:
+        # the same draws, in the same order, as one direction per attempt
+        if attempts >= limit:
             raise DomainError("degenerate sample set: could not draw in-domain directions")
-        y = unit_directions(n, 1, rng)[0]
-        try:
-            s_val = s_curvature(model, v, spec, y, path="generic")
-            f_val = spec.phi.phi(v.c * float(y[-1]))  # alpha = 1 on the sphere
-        except (SingularityError, ZeroDivisionError):
-            continue
-        if not (math.isfinite(s_val) and math.isfinite(f_val)):
-            continue
-        s_vals.append(s_val)
-        f_vals.append(f_val)
-    s_arr = np.array(s_vals)
-    f_arr = np.array(f_vals)
+        block = unit_directions(n, min(sample_count - used, limit - attempts), rng)
+        attempts += len(block)
+        rows = _s_rows(model, v, spec, block, "generic")
+        keep = (rows.flag == 0) & np.isfinite(rows.S) & np.isfinite(rows.phi)
+        s_parts.append(rows.S[keep])
+        f_parts.append(rows.phi[keep])      # F(y) = phi(s) with alpha = 1 on the sphere
+        used += int(np.count_nonzero(keep))
+    s_arr = np.concatenate(s_parts)
+    f_arr = np.concatenate(f_parts)
     denom = float(f_arr @ f_arr)
     if denom == 0.0:
         raise DomainError("degenerate sample set: F vanished on all directions")
@@ -676,5 +827,5 @@ def isotropy_test(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
         c_h=c_fit,
         vanishing=float(np.max(np.abs(s_arr))) <= 1e-10 * scale,
         residual=residual,
-        samples_used=len(s_vals),
+        samples_used=used,
     )

@@ -72,9 +72,13 @@ def _gegenbauer_rule(n: int, count: int):
     prev = np.zeros(count)
     cur = np.full(count, 1.0 / math.sqrt(mu0))
     total = cur * cur
-    for j in range(count - 1):  # off[-1] at j = 0 only multiplies prev = 0
-        prev, cur = cur, (x * cur - off[j - 1] * prev) / off[j]
-        total += cur * cur
+    # At large n and count the sums overflow at the outermost nodes.  That
+    # happens only where the true weight is below about 1e-307, so 1/inf = 0
+    # is its correctly rounded value; the overflow warning is noise.
+    with np.errstate(over="ignore"):
+        for j in range(count - 1):  # off[-1] at j = 0 only multiplies prev = 0
+            prev, cur = cur, (x * cur - off[j - 1] * prev) / off[j]
+            total += cur * cur
     w = 1.0 / total
     x.flags.writeable = False
     w.flags.writeable = False

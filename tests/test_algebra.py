@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,6 @@ from homfinsler import (
     s0_r00,
     validate_model,
 )
-from homfinsler.algebra import _frame_bracket_tensor
 
 
 def make_model(dim_g, entries, h_dim=0, inner=None, v=None, strict=True):
@@ -277,7 +278,7 @@ class TestChristoffel:
     def test_raw_formula_metric_compatibility(self, entry):
         # the unmirrored three-bracket expression is antisymmetric in (l, i),
         # which is exactly metric compatibility in an orthonormal frame
-        br = _frame_bracket_tensor(entry.model)
+        br = entry.model._brackets
         n = entry.model.m_dim
         worst = 0.0
         for l in range(n):
@@ -330,6 +331,37 @@ class TestOriginTensors:
             s0 = c * float(tensors.s[-1] @ y)
             assert abs(r00 + float(br @ y)) <= 1e-10
             assert abs(s0 - 0.5 * float(br @ vf)) <= 1e-10
+
+
+class TestFrameBrackets:
+    def test_matches_bracket_m(self, entry):
+        br = entry.model._brackets
+        n = entry.model.m_dim
+        eye = np.eye(n)
+        for a in range(n):
+            for b in range(n):
+                assert np.max(np.abs(br[a, b] - bracket_m(entry.model, eye[a], eye[b]))) <= 1e-14
+
+    def test_generated_model(self, rng):
+        # h nonzero, a non-orthonormal inner product and a v off the axes
+        model = make_model(4, {(0, 2, 3): 1.3, (0, 3, 2): -1.3, (2, 3, 1): 0.7,
+                               (1, 2, 2): 0.4}, h_dim=1, strict=False,
+                           inner=[[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.5]],
+                           v=[0.2, -0.4, 0.3])[0]
+        for _ in range(20):
+            x, y = rng.standard_normal((2, 3))
+            direct = bracket_m(model, x, y)
+            assert np.max(np.abs(np.einsum("a,b,abc->c", x, y, model._brackets) - direct)) \
+                <= 1e-13 * (1.0 + np.max(np.abs(direct)))
+
+    def test_cached_read_only_and_not_a_field(self):
+        model, _ = make_model(3, {(0, 1, 2): 1.0}, v=[0.0, 0.0, 0.5])
+        twin, _ = make_model(3, {(0, 1, 2): 1.0}, v=[0.0, 0.0, 0.5])
+        br = model._brackets
+        assert model._brackets is br
+        assert not br.flags.writeable
+        assert repr(model) == repr(twin)
+        assert "_brackets" not in {f.name for f in dataclasses.fields(model)}
 
 
 class TestS0R00:

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import homfinsler
-from homfinsler import catalog_get, s_curvature, volume_coefficient
+from homfinsler import DomainError, catalog_get, s_curvature, volume_coefficient
 from homfinsler.cli import SpaceConfig, main
+from homfinsler.curvature import unit_directions
 from homfinsler.metrics import MetricSpec, phi_family
 
 SOLVABLE_JSON = {
@@ -147,6 +148,15 @@ class TestBasicCommands:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("command", ["s-curv", "berwald"])
+    def test_pole_of_phi_exits_1_without_traceback(self, command, capsys):
+        code, _ = run([command, "--space", "catalog:heisenberg3", "--metric",
+                       "kropina", "--y", "1,1,0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: pole of phi (kropina) at s = 0\n"
+
+
 def test_import_does_not_load_scipy():
     src = os.path.dirname(os.path.dirname(homfinsler.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -274,6 +284,27 @@ class TestScan:
         assert [int(r["index"]) for r in rows] == list(range(20))
         for r in rows:
             assert abs(float(r["abs_diff"])) <= 1e-12 * (1 + abs(float(r["S_generic"])))
+
+    @pytest.mark.parametrize("family", ["exponential", "infinite_series"])
+    def test_rows_match_scalar_routes(self, family):
+        # each row holds what the two scalar routes give at its direction,
+        # or nan where either of them raises
+        _, text = run(["scan", "--space", "catalog:solvable2", "--metric", family,
+                       "--grid", "200", "--seed", "3"])
+        e = catalog_get("solvable2")
+        spec = MetricSpec.for_vector(phi_family(family), e.v)
+        dirs = unit_directions(2, 200, np.random.default_rng(3))
+        for row, y in zip(csv.DictReader(io.StringIO(text)), dirs):
+            assert [float(row["y0"]), float(row["y1"])] == y.tolist()
+            got = [float(row["S_closed"]), float(row["S_generic"])]
+            try:
+                expect = [s_curvature(e.model, e.v, spec, y, path=path)
+                          for path in ("closed_form", "generic")]
+            except DomainError:
+                assert np.isnan(got).all()
+                continue
+            for g, x in zip(got, expect):
+                assert abs(g - x) <= 1e-13 * (1.0 + abs(x))
 
     def test_scan_requires_closed_family(self, capsys):
         code, _ = run(["scan", "--space", "catalog:heisenberg3",

@@ -9,6 +9,7 @@ from homfinsler import (
     CoefficientBundle,
     DomainError,
     MetricSpec,
+    PhiFamily,
     SingularityError,
     berwald_workspace,
     catalog_get,
@@ -23,7 +24,10 @@ from homfinsler import (
     s_curvature_via_tensors,
     transcription_audit,
 )
-from homfinsler.curvature import _factor_derivs
+from homfinsler import curvature
+from homfinsler.curvature import _factor_derivs, _row_error, _s_rows, unit_directions
+
+ALL_FAMILIES = ("randers", "kropina", "matsumoto", "infinite_series", "exponential")
 
 # Frozen oracle values, computed with exact symbolic arithmetic (generic
 # coefficient definitions and the exact Hessian of S) before the build.
@@ -221,6 +225,23 @@ class TestSCurvature:
         with pytest.raises(SingularityError, match="s = 0"):
             s_curvature(e.model, e.v, spec, [1.0, 0.0])
 
+    def test_pole_of_phi_is_singularity(self):
+        # phi = 1/s at s = 0: the evaluators raise ZeroDivisionError
+        e = catalog_get("heisenberg3")
+        spec = spec_for(e, "kropina")
+        y = [1.0, 1.0, 0.0]
+        for call in (lambda: s_curvature(e.model, e.v, spec, y, path="generic"),
+                     lambda: s_curvature_via_tensors(e.model, e.v, spec, y),
+                     lambda: mean_berwald(e.model, e.v, spec, y, path="finite_difference")):
+            with pytest.raises(SingularityError, match=r"^pole of phi \(kropina\) at s = 0$"):
+                call()
+
+    def test_non_finite_phi_is_singularity(self):
+        nan_phi = PhiFamily.custom(lambda s: float("nan"), lambda s: 1.0,
+                                   lambda s: 0.0, lambda s: 0.0)
+        with pytest.raises(SingularityError, match="pole of phi"):
+            coefficients_generic(nan_phi, 0.3, 0.5, 3)
+
     def test_closed_path_needs_closed_family(self):
         e = catalog_get("solvable2")
         spec = MetricSpec.for_vector(phi_family("randers"), e.v)
@@ -395,6 +416,112 @@ class TestMeanBerwald:
             mean_berwald(e.model, e.v, spec, [1.0, 0.3],
                          path="finite_difference", step=-1.0)
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("name", ["heisenberg3", "solvable2", "su2_like"])
+    def test_finite_difference_exactly_symmetric(self, name, family, rng):
+        e = catalog_get(name)
+        spec = spec_for(e, family)
+        for y in rng.standard_normal((5, e.model.m_dim)):
+            f = mean_berwald(e.model, e.v, spec, y, path="finite_difference")
+            assert np.array_equal(f, f.T)
+
+    @pytest.mark.parametrize("name", ["solvable2", "heisenberg3"])
+    def test_finite_difference_is_one_block(self, name, monkeypatch):
+        # both Richardson levels, i < j corners only, in one kernel call and
+        # without any scalar S call
+        e = catalog_get(name)
+        n = e.model.m_dim
+        spec = spec_for(e, "exponential")
+        blocks = []
+
+        def counting(*args, **kwargs):
+            blocks.append(len(args[3]))
+            return _s_rows(*args, **kwargs)
+
+        def no_scalar(*args, **kwargs):
+            raise AssertionError("scalar S called inside finite-difference E")
+
+        monkeypatch.setattr(curvature, "_s_rows", counting)
+        monkeypatch.setattr(curvature, "s_curvature", no_scalar)
+        mean_berwald(e.model, e.v, spec, np.ones(n), path="finite_difference")
+        assert blocks == [2 * (1 + 2 * n + 2 * n * (n - 1))]
+
+    def test_finite_difference_raises_the_scalar_error(self):
+        # the centre of the stencil sits on s = 0, where Q has a pole
+        e = catalog_get("solvable2")
+        spec = spec_for(e, "infinite_series")
+        with pytest.raises(SingularityError) as scalar:
+            s_curvature(e.model, e.v, spec, [1.0, 0.0], path="generic")
+        with pytest.raises(SingularityError) as fd:
+            mean_berwald(e.model, e.v, spec, [1.0, 0.0], path="finite_difference")
+        assert str(fd.value) == str(scalar.value)
+
+
+# ---------------------------------------------------------------------------
+# the block kernel
+# ---------------------------------------------------------------------------
+
+def _scalar_or_error(model, v, spec, y, path):
+    try:
+        return s_curvature(model, v, spec, y, path=path), None
+    except DomainError as exc:
+        return None, exc
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("name", ["heisenberg3", "solvable2", "su2_like"])
+    def test_rows_match_scalar(self, name, family, rng):
+        e = catalog_get(name)
+        n = e.model.m_dim
+        spec = spec_for(e, family)
+        vf = e.v.frame_coords(e.model)
+        Y = np.vstack([rng.standard_normal((40, n)) * rng.uniform(0.1, 3.0, (40, 1)),
+                       vf, np.eye(n), np.zeros(n)])        # y = v, s = 0 rows, y = 0
+        paths = ("closed_form", "generic") if family in FAMILIES else ("generic",)
+        for path in paths:
+            rows = _s_rows(e.model, e.v, spec, Y, path)
+            for k, y in enumerate(Y):
+                ref, exc = _scalar_or_error(e.model, e.v, spec, y, path)
+                if exc is None:
+                    assert rows.flag[k] == 0
+                    assert abs(rows.S[k] - ref) <= 1e-13 * (1.0 + abs(ref)), (path, y)
+                else:
+                    assert rows.flag[k] > 0 and np.isnan(rows.S[k])
+                    err = _row_error(rows, k, y, family)
+                    assert type(err) is type(exc) and str(err) == str(exc), (path, y)
+
+    @pytest.mark.parametrize("path,locus", [("generic", "phi - s*phi' = 0"),
+                                            ("closed_form", "pole of Q")])
+    def test_flags_only_the_singular_row(self, path, locus):
+        e = catalog_get("heisenberg3")
+        spec = spec_for(e, "infinite_series")
+        Y = np.array([[1.0, 0.7, 0.4], [1.0, 1.0, 0.0], [0.2, -1.0, 0.5]])
+        rows = _s_rows(e.model, e.v, spec, Y, path)
+        assert list(rows.flag > 0) == [False, True, False]
+        assert np.isnan(rows.S[1]) and np.isfinite(rows.S[[0, 2]]).all()
+        assert str(_row_error(rows, 1, Y[1], "infinite_series")).startswith(locus)
+
+    def test_zero_bracket_rows_are_exactly_zero(self):
+        # [v, y]_m = 0 wins over the pole at s = 0, as in the scalar call
+        e = catalog_get("heisenberg_central_v")
+        spec = spec_for(e, "infinite_series")
+        Y = np.array([[1.0, 0.3, 0.0], [0.2, -1.0, 0.5]])
+        for path in ("closed_form", "generic"):
+            rows = _s_rows(e.model, e.v, spec, Y, path)
+            assert rows.S.tolist() == [0.0, 0.0] and not rows.flag.any()
+
+    def test_rejects_bad_spec_shape_and_path(self):
+        e = catalog_get("solvable2")
+        spec = spec_for(e, "exponential")
+        with pytest.raises(ValueError, match="does not match"):
+            _s_rows(e.model, e.v, MetricSpec(phi_family("exponential"), 0.3),
+                    np.ones((3, 2)), "generic")
+        with pytest.raises(ValueError, match="shape"):
+            _s_rows(e.model, e.v, spec, np.ones(2), "generic")
+        with pytest.raises(ValueError, match="path"):
+            _s_rows(e.model, e.v, spec, np.ones((3, 2)), "nope")
+
 
 class TestCurvatureSample:
     def test_closed_tag(self):
@@ -498,6 +625,43 @@ class TestIsotropy:
         e = catalog_get("heisenberg3")
         with pytest.raises(ValueError, match="n \\+ 1"):
             isotropy_test(e.model, e.v, spec_for(e, "exponential"), 3)
+
+    @pytest.mark.parametrize("family", ["exponential", "infinite_series", "half_pole"])
+    @pytest.mark.parametrize("name", ["heisenberg3", "solvable2"])
+    def test_matches_one_direction_at_a_time(self, name, family):
+        # the loop that drew and evaluated one direction per attempt is the
+        # reference; "half_pole" rejects every direction with s <= 0
+        e = catalog_get(name)
+        spec = spec_for(e, family) if family != "half_pole" else MetricSpec.for_vector(
+            PhiFamily.custom(lambda s: 1.0 / max(s, 0.0), lambda s: -1.0 / max(s, 0.0) ** 2,
+                             lambda s: 2.0 / max(s, 0.0) ** 3, lambda s: -6.0 / max(s, 0.0) ** 4),
+            e.v)
+        n, count, seed = e.model.m_dim, 60, 9
+        rng = np.random.default_rng(seed)
+        s_vals, f_vals = [], []
+        while len(s_vals) < count:
+            y = unit_directions(n, 1, rng)[0]
+            try:
+                s_val = s_curvature(e.model, e.v, spec, y, path="generic")
+                f_val = spec.phi.phi(e.v.c * float(y[-1]))
+            except (SingularityError, ZeroDivisionError):
+                continue
+            s_vals.append(s_val)
+            f_vals.append(f_val)
+        s_arr, f_arr = np.array(s_vals), np.array(f_vals)
+        c_ref = float(s_arr @ f_arr) / ((n + 1) * float(f_arr @ f_arr))
+        res_ref = float(np.max(np.abs(s_arr - (n + 1) * c_ref * f_arr)))
+        report = isotropy_test(e.model, e.v, spec, count, seed=seed)
+        assert report.samples_used == count
+        assert abs(report.c_h - c_ref) <= 1e-12
+        assert abs(report.residual - res_ref) <= 1e-12
+
+    def test_attempt_limit(self):
+        e = catalog_get("heisenberg3")
+        always_pole = PhiFamily.custom(lambda s: 1.0 / 0.0, lambda s: 0.0,
+                                       lambda s: 0.0, lambda s: 0.0)
+        with pytest.raises(DomainError, match="degenerate sample set"):
+            isotropy_test(e.model, e.v, MetricSpec.for_vector(always_pole, e.v), 4)
 
     def test_deterministic(self):
         e = catalog_get("solvable2")

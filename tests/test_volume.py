@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -105,6 +106,15 @@ class TestOracles:
                   "infinite_series": lambda s: s**2 / (s - 1)}[family]
         f = volume_coefficient(phi_family(family), 0.9, n, "ht")
         assert f == pytest.approx(_mp_factor(mp_phi, 0.9, n, "ht"), rel=1e-10)
+
+    def test_large_n_rule_overflow_is_silent(self):
+        # the Christoffel sums overflow at the outermost nodes, where the
+        # weights underflow to 0; that must raise no RuntimeWarning
+        _gegenbauer_rule.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = volume_coefficient(phi_family("randers"), 0.9, 400, "bh", nodes=1024)
+        assert f == pytest.approx(0.19**200.5, rel=1e-12)
 
     def test_kropina_ht_diverges(self):
         # T(s) grows like s^-(n+1) at the pole s = 0 of phi = 1/s
