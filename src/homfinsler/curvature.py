@@ -58,7 +58,7 @@ from .algebra import (
     validate_model,
 )
 from .errors import DomainError, FinslerError, SingularityError, ValidatedModeError
-from .metrics import MetricSpec, PhiFamily, shen_check
+from .metrics import MetricSpec, PhiFamily
 
 __all__ = [
     "CoefficientBundle",
@@ -383,7 +383,7 @@ def _require_validated(model: ReductiveModel, v: InvariantVector, spec: MetricSp
         raise ValidatedModeError(
             f"validated mode: model check {bad.name!r} failed "
             f"(residual {bad.residual:.3g} > {bad.tolerance:.3g})")
-    shen = shen_check(spec)
+    shen = spec._shen
     if not shen.holds:
         raise ValidatedModeError(
             f"validated mode: positivity criterion fails for {spec.phi.name} "
@@ -769,12 +769,14 @@ def unit_directions(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     out = np.empty((count, n))
     k = 0
     while k < count:
-        z = rng.standard_normal(n)
-        nrm = float(np.linalg.norm(z))
-        if nrm < 1e-12:
-            continue
-        out[k] = z / nrm
-        k += 1
+        z = rng.standard_normal((count - k, n))
+        # only the shortfall is redrawn, so the draws match one row at a time;
+        # stacked one-row products round like np.linalg.norm of one row
+        nrm = np.sqrt((z[:, None, :] @ z[:, :, None])[:, 0, 0])
+        keep = nrm >= 1e-12
+        got = int(np.count_nonzero(keep))
+        out[k:k + got] = z[keep] / nrm[keep, None]
+        k += got
     return out
 
 

@@ -25,6 +25,7 @@ package distinguishes a "formal" from a "validated" evaluation mode.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -193,6 +194,11 @@ class MetricSpec:
         if v.b >= 1.0:
             raise ValueError(f"invariant-vector route requires ||beta|| < 1, got {v.b}")
         return cls(phi=phi, b=v.b)
+
+    @functools.cached_property
+    def _shen(self) -> "ShenReport":
+        """shen_check(self), once per spec for validated mode (phi must be pure)."""
+        return shen_check(self)
 
 
 def finsler_norm(spec: MetricSpec, alpha: float, beta: float) -> float:

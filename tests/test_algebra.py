@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from homfinsler import (
     bracket_m,
     build_model,
     catalog_get,
+    catalog_names,
     christoffel_origin,
     origin_tensors,
     orthonormal_frame,
@@ -157,6 +159,8 @@ class TestValidateModel:
         report = validate_model(model, v_bad)
         names = {c.name: c for c in report.checks}
         assert not names["v_invariance"].passed
+        assert [c.name for c in report.failed_checks()] == ["v_invariance"]
+        assert validate_model(model, v_ok).passed    # v is not cached on the model
 
     def test_dimension_mismatch_is_structural_error(self):
         e2 = catalog_get("solvable2")
@@ -362,6 +366,136 @@ class TestFrameBrackets:
         assert not br.flags.writeable
         assert repr(model) == repr(twin)
         assert "_brackets" not in {f.name for f in dataclasses.fields(model)}
+
+
+def loop_residuals(model, v):
+    """validate_model's residuals by the original per-basis-vector loops."""
+    st = model.structure
+    h, n, dim = model.h_dim, model.m_dim, st.dim_g
+    red = inv_ip = inv_v = 0.0
+    for a in range(h):
+        wg = np.zeros(dim)
+        wg[a] = 1.0
+        for i in range(n):
+            eg = np.zeros(dim)
+            eg[h + i] = 1.0
+            red = max(red, float(np.max(np.abs(st.bracket(wg, eg)[:h]), initial=0.0)))
+        bw = np.empty((n, n))
+        for a2 in range(n):
+            zm = st.bracket(wg, np.concatenate([np.zeros(h), model.frame[a2]]))[h:]
+            bw[a2] = model.frame @ (model.inner_product @ zm)
+        inv_ip = max(inv_ip, float(np.max(np.abs(bw + bw.T), initial=0.0)))
+        if v is not None and v.c > 0.0:
+            zv = st.bracket(wg, np.concatenate([np.zeros(h), v.coords]))[h:]
+            inv_v = max(inv_v, float(np.max(np.abs(zv), initial=0.0)))
+    return [st.antisymmetry_residual(), st.jacobi_residual(), red, inv_ip, inv_v]
+
+
+def similitude(k, mu, inner=None, v=None, twin=False):
+    """(so(k) + R D) x| R^k with h = so(k) and m = span(D, T_1..T_k).
+
+    The rotation generators act on the T_i, [D, T_i] = mu T_i; by default
+    the inner product is the h-invariant diag(1.5, 0.8, ..., 0.8) and v lies
+    along D.  ``twin`` perturbs [D, T_1], which breaks the Jacobi identity.
+    """
+    pairs = list(itertools.combinations(range(k), 2))
+    h = len(pairs)
+    gens = []
+    for a, c in pairs:
+        g = np.zeros((k, k))
+        g[a, c], g[c, a] = 1.0, -1.0
+        gens.append(g)
+    entries = {}
+    for p, q in itertools.combinations(range(h), 2):
+        comm = gens[p] @ gens[q] - gens[q] @ gens[p]
+        for r, (a, c) in enumerate(pairs):
+            if comm[a, c] != 0.0:
+                entries[(p, q, r)] = float(comm[a, c])
+    for p, g in enumerate(gens):
+        for i, r in zip(*np.nonzero(g.T)):
+            entries[(p, h + 1 + int(i), h + 1 + int(r))] = float(g[r, i])
+    for i in range(k):
+        entries[(h, h + 1 + i, h + 1 + i)] = mu + (0.5 if twin and i == 0 else 0.0)
+    if inner is None:
+        inner = np.diag([1.5] + [0.8] * k)
+        v = [0.5 / np.sqrt(1.5)] + [0.0] * k
+    return make_model(h + 1 + k, entries, h_dim=h, inner=inner, v=v)
+
+
+def _residual_cases():
+    so3 = {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0}
+    rotation = {(0, 1, 2): 1.0, (0, 2, 1): -1.0}
+    cases = [pytest.param(lambda name=name: (catalog_get(name).model, catalog_get(name).v),
+                          id=f"catalog:{name}") for name in catalog_names()]
+    cases += [
+        pytest.param(lambda: make_model(3, so3, h_dim=1), id="so3_h1"),
+        pytest.param(lambda: make_model(3, so3, h_dim=1, inner=np.diag([1.0, 4.0])),
+                     id="non_invariant_inner"),
+        pytest.param(lambda: make_model(2, {(0, 1, 0): 1.0}, h_dim=1), id="non_reductive"),
+        pytest.param(lambda: make_model(4, rotation, h_dim=1, v=[0.0, 0.0, 0.5]), id="v_ok"),
+        pytest.param(lambda: make_model(4, rotation, h_dim=1, v=[0.5, 0.0, 0.0]), id="v_bad"),
+    ]
+    for k, mu in ((2, 0.7), (3, 1.3), (4, 0.9)):
+        for twin in (False, True):
+            cases.append(pytest.param(lambda k=k, mu=mu, twin=twin: similitude(k, mu, twin=twin),
+                                      id=f"similitude{k}{'_twin' if twin else ''}"))
+    # a general SPD inner product and v: frame and inner product not diagonal
+    a = np.random.default_rng(3).standard_normal((4, 4))
+    cases.append(pytest.param(lambda: similitude(3, 1.1, inner=a @ a.T + 4.0 * np.eye(4),
+                                                 v=[0.1, 0.05, -0.08, 0.12]),
+                              id="similitude3_spd"))
+    return cases
+
+
+class TestResidualCache:
+    @pytest.mark.parametrize("make", _residual_cases())
+    def test_residuals_match_the_loop(self, make):
+        model, v = make()
+        residuals = [c.residual for c in validate_model(model, v).checks]
+        assert np.array_equal(residuals, loop_residuals(model, v))
+        # a second call reads the cache and reports the same figures
+        assert [c.residual for c in validate_model(model, v).checks] == residuals
+
+    def test_twin_breaks_jacobi(self):
+        model, v = similitude(3, 1.3, twin=True)
+        (bad,) = validate_model(model, v).failed_checks()
+        assert bad.name == "jacobi" and bad.residual >= 0.1
+
+    def test_cached_once_and_not_a_field(self):
+        model, v = similitude(3, 1.3)
+        res = model._residuals
+        assert model._residuals is res
+        assert "_residuals" not in {f.name for f in dataclasses.fields(model)}
+        fresh = dataclasses.replace(model)
+        assert "_residuals" not in vars(fresh)
+        assert fresh._residuals == res
+
+    def test_cache_serves_every_tolerance(self):
+        model, v = similitude(3, 1.3, twin=True)
+        assert not validate_model(model, v).passed
+        loose = validate_model(model, v, tol=10.0)
+        assert loose.passed
+        assert all(c.tolerance == 10.0 for c in loose.checks)
+        assert [c.residual for c in loose.checks] == loop_residuals(model, v)
+
+
+class TestEquality:
+    def test_identity_equality_and_hashing(self):
+        model, v = make_model(3, {(0, 1, 2): 1.0}, v=[0.0, 0.0, 0.5])
+        twin, v2 = make_model(3, {(0, 1, 2): 1.0}, v=[0.0, 0.0, 0.5])
+        for a, b in ((model, twin), (v, v2), (model.structure, twin.structure)):
+            assert a == a
+            assert a != b          # equal contents, distinct objects: no ValueError
+            assert not (a == b)
+            assert len({a: 0, b: 1}) == 2
+
+    def test_catalog_entry_equality(self):
+        e = catalog_get("heisenberg3")
+        assert e == catalog_get("heisenberg3")
+        assert e == dataclasses.replace(e)
+        rebuilt = make_model(3, {(0, 1, 2): 1.0}, v=[0.5, 0.0, 0.0])[0]
+        assert e != dataclasses.replace(e, model=rebuilt)
+        assert {e: 1}[catalog_get("heisenberg3")] == 1
 
 
 class TestS0R00:

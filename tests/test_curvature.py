@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -8,10 +10,14 @@ from conftest import FAMILIES, sample_in_domain, spec_for
 from homfinsler import (
     CoefficientBundle,
     DomainError,
+    InvariantVector,
     MetricSpec,
     PhiFamily,
     SingularityError,
+    StructureConstants,
+    ValidatedModeError,
     berwald_workspace,
+    build_model,
     catalog_get,
     coefficients_exponential,
     coefficients_generic,
@@ -24,7 +30,7 @@ from homfinsler import (
     s_curvature_via_tensors,
     transcription_audit,
 )
-from homfinsler import curvature
+from homfinsler import curvature, metrics
 from homfinsler.curvature import _factor_derivs, _row_error, _s_rows, unit_directions
 
 ALL_FAMILIES = ("randers", "kropina", "matsumoto", "infinite_series", "exponential")
@@ -523,6 +529,111 @@ class TestBlockKernel:
             _s_rows(e.model, e.v, spec, np.ones((3, 2)), "nope")
 
 
+# ---------------------------------------------------------------------------
+# validated mode
+# ---------------------------------------------------------------------------
+
+def _fresh_heisenberg():
+    """A heisenberg3 model no other test has validated (the catalog is cached)."""
+    st = StructureConstants.from_entries(3, {(0, 1, 2): 1.0})
+    return build_model(st, 0, np.eye(3), [0.5, 0.0, 0.0])
+
+
+class TestValidatedMode:
+    @pytest.mark.parametrize("family", ["randers", "exponential"])
+    def test_values_equal_formal(self, family, rng):
+        e = catalog_get("heisenberg3")
+        spec = spec_for(e, family)
+        m, v = e.model, e.v
+        Y = sample_in_domain(e, "exponential", 6, rng)
+        closed = family in FAMILIES
+        for y in Y:
+            for _ in range(2):   # the first call fills the caches, the second reads them
+                pairs = [
+                    (s_curvature(m, v, spec, y, path="generic", mode=mode),
+                     s_curvature_via_tensors(m, v, spec, y, mode=mode),
+                     mean_berwald(m, v, spec, y, path="finite_difference", mode=mode))
+                    + ((s_curvature(m, v, spec, y, mode=mode),
+                        mean_berwald(m, v, spec, y, mode=mode)) if closed else ())
+                    for mode in ("formal", "validated")]
+                for formal, validated in zip(*pairs):
+                    assert np.array_equal(formal, validated)
+        for path in ("closed_form", "generic") if closed else ("generic",):
+            formal = _s_rows(m, v, spec, Y, path)
+            validated = _s_rows(m, v, spec, Y, path, mode="validated")
+            assert np.array_equal(formal.S, validated.S)
+            assert np.array_equal(formal.flag, validated.flag)
+
+    def test_refusals_repeat_with_the_same_message(self):
+        e = catalog_get("heisenberg3")
+        y = np.array([1.0, 0.7, 0.4])
+        broken = StructureConstants.from_entries(      # Jacobi fails, residual 1
+            3, {(0, 1, 2): 1.0, (0, 2, 2): 1.0, (1, 2, 0): 1.0}, strict=False)
+        bm, bv = build_model(broken, 0, np.eye(3), [0.5, 0.0, 0.0])
+        cases = [(e.model, e.v, spec_for(e, "infinite_series"), "positivity criterion"),
+                 (bm, bv, MetricSpec.for_vector(phi_family("exponential"), bv), "'jacobi'")]
+        for model, v, spec, what in cases:
+            messages = []
+            for _ in range(3):
+                with pytest.raises(ValidatedModeError, match=what) as info:
+                    s_curvature(model, v, spec, y, path="generic", mode="validated")
+                messages.append(str(info.value))
+            with pytest.raises(ValidatedModeError) as info:
+                _s_rows(model, v, spec, y[None, :], "generic", mode="validated")
+            messages.append(str(info.value))
+            assert len(set(messages)) == 1
+
+    def test_v_is_checked_on_every_call(self):
+        # rotation of the (e1, e2) plane in h; v_ok is fixed by it, v_bad is not
+        st = StructureConstants.from_entries(4, {(0, 1, 2): 1.0, (0, 2, 1): -1.0})
+        model, v_ok = build_model(st, 1, np.eye(3), [0.0, 0.0, 0.5])
+        v_bad = InvariantVector.from_coords(model, [0.5, 0.0, 0.0])
+        y = np.array([1.0, 0.7, 0.4])
+        family = phi_family("exponential")
+        spec_ok = MetricSpec.for_vector(family, v_ok)
+        value = s_curvature(model, v_ok, spec_ok, y, path="generic", mode="validated")
+        assert value == s_curvature(model, v_ok, spec_ok, y, path="generic")
+        with pytest.raises(ValidatedModeError, match="'v_invariance'"):
+            s_curvature(model, v_bad, MetricSpec.for_vector(family, v_bad), y,
+                        path="generic", mode="validated")
+
+    def test_checks_run_once_per_model_and_spec(self, monkeypatch):
+        calls = {"jacobi": 0, "shen": 0}
+        jacobi, shen = StructureConstants.jacobi_residual, metrics.shen_check
+
+        def counting_jacobi(self):
+            calls["jacobi"] += 1
+            return jacobi(self)
+
+        def counting_shen(*args, **kwargs):
+            calls["shen"] += 1
+            return shen(*args, **kwargs)
+
+        monkeypatch.setattr(StructureConstants, "jacobi_residual", counting_jacobi)
+        monkeypatch.setattr(metrics, "shen_check", counting_shen)
+        model, v = _fresh_heisenberg()
+        spec = MetricSpec.for_vector(phi_family("exponential"), v)
+        y = np.array([1.0, 0.7, 0.4])
+        for _ in range(100):
+            s_curvature(model, v, spec, y, path="generic", mode="validated")
+        assert calls == {"jacobi": 1, "shen": 1}
+        # a rebuilt spec and a second model are each checked once more
+        spec2 = MetricSpec.for_vector(phi_family("exponential"), v)
+        model2, v2 = _fresh_heisenberg()
+        for _ in range(50):
+            s_curvature(model, v, spec2, y, path="generic", mode="validated")
+            s_curvature(model2, v2, spec, y, mode="validated")
+        assert calls == {"jacobi": 2, "shen": 2}
+
+    def test_public_shen_check_is_not_cached(self):
+        _, v = _fresh_heisenberg()
+        spec = MetricSpec.for_vector(phi_family("exponential"), v)
+        assert spec._shen is spec._shen
+        assert metrics.shen_check(spec) is not metrics.shen_check(spec)
+        assert metrics.shen_check(spec) == spec._shen
+        assert "_shen" not in vars(dataclasses.replace(spec))
+
+
 class TestCurvatureSample:
     def test_closed_tag(self):
         e = catalog_get("solvable2")
@@ -602,6 +713,58 @@ class TestTranscriptionAudit:
 # ---------------------------------------------------------------------------
 # isotropy
 # ---------------------------------------------------------------------------
+
+def loop_unit_directions(n, count, rng):
+    """unit_directions as one draw and one norm per row (the reference)."""
+    out = np.empty((count, n))
+    k = 0
+    while k < count:
+        z = rng.standard_normal(n)
+        nrm = float(np.linalg.norm(z))
+        if nrm < 1e-12:
+            continue
+        out[k] = z / nrm
+        k += 1
+    return out
+
+
+class _Stream:
+    """A generator stub that hands out a fixed sequence of normal draws."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.pos = 0
+
+    def standard_normal(self, size):
+        count = int(np.prod(size))
+        out = self.values[self.pos:self.pos + count]
+        self.pos += count
+        return out.reshape(size)
+
+
+class TestUnitDirections:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 16])
+    def test_matches_one_row_at_a_time(self, n):
+        for seed in range(3):
+            for count in (0, 1, 9, 500):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                out = unit_directions(n, count, rng)
+                assert out.shape == (count, n)
+                assert np.array_equal(out, loop_unit_directions(n, count, ref_rng))
+                # the same number of draws was consumed
+                assert rng.standard_normal() == ref_rng.standard_normal()
+
+    def test_zero_rows_are_redrawn_in_order(self):
+        n, count = 3, 4
+        draws = np.random.default_rng(2).standard_normal(3 * n * count)
+        draws[n:2 * n] = 0.0                    # row 1 is rejected
+        draws[3 * n:4 * n] = 1e-13              # and so is row 3 (norm below 1e-12)
+        out, ref = _Stream(draws), _Stream(draws)
+        got = unit_directions(n, count, out)
+        assert np.array_equal(got, loop_unit_directions(n, count, ref))
+        assert out.pos == ref.pos == 6 * n
+        assert np.array_equal(got[1], draws[2 * n:3 * n] / np.linalg.norm(draws[2 * n:3 * n]))
+
 
 class TestIsotropy:
     @pytest.mark.parametrize("name", ["abelian3", "heisenberg_central_v", "su2_like"])
