@@ -395,19 +395,18 @@ def _cmd_scan(args, out):
     failed = (closed.flag > 0) | (generic.flag > 0)
     s_closed = np.where(failed, math.nan, closed.S)
     s_generic = np.where(failed, math.nan, generic.S)
-    columns = zip(dirs.tolist(), (v.c * dirs[:, -1]).tolist(), s_closed.tolist(),
-                  s_generic.tolist(), np.abs(s_closed - s_generic).tolist())
-    records = []
-    for idx, (y, s, s_c, s_g, diff) in enumerate(columns):
-        rec = {"index": idx}
-        for comp in range(n):
-            rec[f"y{comp}"] = y[comp]
-        rec["s"] = s
-        rec["S_closed"] = s_c
-        rec["S_generic"] = s_g
-        rec["abs_diff"] = diff
-        records.append(rec)
-    _emit(records, args.format or "csv", out)
+    keys = ["index", *(f"y{comp}" for comp in range(n)), "s", "S_closed", "S_generic",
+            "abs_diff"]
+    rows = zip(range(len(dirs)), *dirs.T.tolist(), (v.c * dirs[:, -1]).tolist(),
+               s_closed.tolist(), s_generic.tolist(), np.abs(s_closed - s_generic).tolist())
+    fmt = args.format or "csv"
+    if fmt == "csv":
+        # every cell is numeric, so no cell needs csv quoting, and "%.17g"
+        # prints each float exactly as _fmt does
+        template = "%d," + ",".join(["%.17g"] * (len(keys) - 1))
+        out.write(",".join(keys) + "\n" + "\n".join(template % row for row in rows) + "\n")
+    else:
+        _emit([dict(zip(keys, row)) for row in rows], fmt, out)
     return 0
 
 

@@ -58,7 +58,7 @@ from .algebra import (
     validate_model,
 )
 from .errors import DomainError, FinslerError, SingularityError, ValidatedModeError
-from .metrics import MetricSpec, PhiFamily
+from .metrics import MetricSpec, PhiFamily, _phi_at
 
 __all__ = [
     "CoefficientBundle",
@@ -435,13 +435,6 @@ def s_curvature(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
 _ROW_Y, _ROW_PHI_POLE, _ROW_PHI_D, _ROW_Q_POLE, _ROW_DELTA = 1, 2, 3, 4, 5
 
 _Rows = namedtuple("_Rows", "S flag s phi")
-
-
-def _phi_at(f, s: float) -> float:
-    try:
-        return f(s)
-    except ZeroDivisionError:
-        return math.nan
 
 
 # The two helpers below keep each row of a block bit-identical to the scalar

@@ -2,8 +2,18 @@
 
 A metric of this class is F = alpha * phi(s) with s = beta/alpha, where
 alpha is a Riemannian norm and beta a 1-form.  Each family is described by
-the scalar profile phi together with its first three derivatives, which is
-all the curvature formulas ever need.
+the profile phi together with its first three derivatives, which is all the
+curvature formulas ever need.
+
+Every evaluator takes either a float or a float64 ndarray of s values.  On
+a float (``np.float64`` included) it returns a float, computed exactly as a
+plain scalar formula would; on an array it returns the values entry-wise,
+as an array or, for a constant derivative, as a float that broadcasts
+against s.  Array values agree with the scalar ones to a few ulp (numpy's
+exp and integer powers round independently of libm's), and a pole reads as
+inf or nan, where the scalar call may raise ZeroDivisionError.  The volume
+quadrature and ``shen_check`` evaluate whole point sets in one call; the
+per-direction curvature routes stay on floats.
 
 Built-in profiles:
 
@@ -17,10 +27,11 @@ The positivity criterion for F to be a genuine Finsler norm on |s| <= b is
 
     phi(s) > 0   and   phi(s) - s phi'(s) + (b^2 - s^2) phi''(s) > 0.
 
-``shen_check`` evaluates it on a grid.  The infinite-series profile fails it
-on any interval containing s = 0 (phi(0) = 0); curvature formulas for it are
-still well defined as rational expressions, which is why the rest of the
-package distinguishes a "formal" from a "validated" evaluation mode.
+``shen_check`` evaluates it on a grid, in one array pass.  The
+infinite-series profile fails it on any interval containing s = 0
+(phi(0) = 0); curvature formulas for it are still well defined as rational
+expressions, which is why the rest of the package distinguishes a "formal"
+from a "validated" evaluation mode.
 """
 
 from __future__ import annotations
@@ -115,10 +126,10 @@ class PhiFamily:
         # phi - s*phi' = e^s (1 - s) vanishes at s = 1
         return cls(
             name="exponential",
-            phi=math.exp,
-            dphi=math.exp,
-            d2phi=math.exp,
-            d3phi=math.exp,
+            phi=_exp,
+            dphi=_exp,
+            d2phi=_exp,
+            d3phi=_exp,
             in_domain=lambda s: s != 1.0,
             domain_desc="s in (-inf, 1) or (1, inf)",
         )
@@ -129,33 +140,83 @@ class PhiFamily:
         """Build a family from user-supplied evaluators.
 
         All three derivatives must be supplied; nothing is differentiated
-        automatically.  Without ``in_domain`` the domain is checked pointwise
-        (phi > 0 and phi - s*phi' != 0).
+        automatically.  The evaluators need only accept a float: each is
+        wrapped once so that it also takes an ndarray, which it is then
+        called on entry by entry, a ZeroDivisionError reading as nan.  A
+        float goes straight to the callable, so the scalar routes still see
+        its ZeroDivisionError.  Without ``in_domain`` the domain is checked
+        pointwise (phi > 0 and phi - s*phi' != 0).
         """
         if in_domain is None:
-            def in_domain(s, _p=phi, _d=dphi):
-                val = _p(s)
-                return val > 0.0 and val - s * _d(s) != 0.0
+            in_domain = _pointwise_domain(phi, dphi)
+        phi, dphi, d2phi, d3phi = map(_entrywise, (phi, dphi, d2phi, d3phi))
         return cls(name="custom", phi=phi, dphi=dphi, d2phi=d2phi,
                    d3phi=d3phi, in_domain=in_domain, domain_desc=domain_desc)
 
     @classmethod
     def polynomial(cls, coefficients) -> "PhiFamily":
-        """Custom family phi(s) = sum_k c_k s^k from ascending coefficients."""
+        """Custom family phi(s) = sum_k c_k s^k from ascending coefficients.
+
+        The evaluators run Horner's rule on floats and on arrays alike.
+        """
         coeffs = np.asarray(coefficients, dtype=float)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValueError("polynomial coefficients must be a non-empty 1-d sequence")
-        polys = [np.polynomial.Polynomial(coeffs)]
+        derivs = [coeffs]
         for _ in range(3):
-            polys.append(polys[-1].deriv())
-        p0, p1, p2, p3 = polys
-        return cls.custom(
-            phi=lambda s: float(p0(s)),
-            dphi=lambda s: float(p1(s)),
-            d2phi=lambda s: float(p2(s)),
-            d3phi=lambda s: float(p3(s)),
-            domain_desc="pointwise: phi > 0 and phi - s*phi' != 0",
-        )
+            derivs.append(np.polynomial.polynomial.polyder(derivs[-1]))
+        p0, p1, p2, p3 = (_horner(c.tolist()) for c in derivs)
+        return cls(name="custom", phi=p0, dphi=p1, d2phi=p2, d3phi=p3,
+                   in_domain=_pointwise_domain(p0, p1),
+                   domain_desc="pointwise: phi > 0 and phi - s*phi' != 0")
+
+
+def _pointwise_domain(phi, dphi):
+    def in_domain(s):
+        val = phi(s)
+        return val > 0.0 and val - s * dphi(s) != 0.0
+
+    return in_domain
+
+
+def _exp(s, _scalar=math.exp, _array=np.exp):
+    """e^s: libm's exp on whatever math.exp takes, numpy's on arrays."""
+    try:
+        return _scalar(s)
+    except TypeError:
+        return _array(s)
+
+
+def _horner(coeffs):
+    """The evaluator of sum_k coeffs[k] s^k; the op order of numpy's polyval."""
+    lead, rest = coeffs[-1], coeffs[-2::-1]
+
+    def evaluate(s):
+        acc = lead
+        for c in rest:
+            acc = c + acc * s
+        return acc
+
+    return evaluate
+
+
+def _phi_at(f, s: float) -> float:
+    """f(s) for a scalar evaluator f; a pole (ZeroDivisionError) reads nan."""
+    try:
+        return f(s)
+    except ZeroDivisionError:
+        return math.nan
+
+
+def _entrywise(f):
+    """f on floats, and entry by entry on arrays, where a ZeroDivisionError reads nan."""
+    def evaluate(s):
+        if isinstance(s, np.ndarray):
+            flat = [_phi_at(f, t) for t in s.ravel().tolist()]
+            return np.array(flat, dtype=float).reshape(s.shape)
+        return f(s)
+
+    return evaluate
 
 
 _BUILTINS = {
@@ -233,8 +294,9 @@ def shen_check(spec: MetricSpec, samples: int = 201) -> ShenReport:
     The grid always contains both endpoints and s = 0 (0 is in every [-b, b]
     and is where the infinite-series profile degenerates).  ``holds`` is true
     iff the expression stays positive and phi itself is positive everywhere
-    on the grid.  A phi-singularity at a grid point is recorded as a failure
-    at that s, not raised.
+    on the grid.  A phi-singularity at a grid point (a non-finite phi or
+    expression) is recorded as a failure at that s, not raised.  The
+    minimum is the first smallest value in grid order.
     """
     if samples < 3:
         raise ValueError("samples must be >= 3")
@@ -244,25 +306,17 @@ def shen_check(spec: MetricSpec, samples: int = 201) -> ShenReport:
         grid = np.sort(np.append(grid, 0.0))
 
     phi = spec.phi
-    best_val = math.inf
-    best_s = float(grid[0])
-    positive_ok = True
-    singular = []
-    for s in map(float, grid):
-        try:
-            p = phi.phi(s)
-            expr = p - s * phi.dphi(s) + (b * b - s * s) * phi.d2phi(s)
-        except ZeroDivisionError:
-            singular.append(s)
-            continue
-        if not (math.isfinite(p) and math.isfinite(expr)):
-            singular.append(s)
-            continue
-        if p <= 0.0:
-            positive_ok = False
-        if expr < best_val:
-            best_val = expr
-            best_s = s
+    with np.errstate(all="ignore"):
+        p = phi.phi(grid)
+        expr = p - grid * phi.dphi(grid) + (b * b - grid * grid) * phi.d2phi(grid)
+        finite = np.isfinite(p) & np.isfinite(expr)
+        positive_ok = not np.any(finite & (p <= 0.0))
+    singular = tuple(grid[~finite].tolist())
+    if finite.any():
+        k = int(np.argmin(np.where(finite, expr, math.inf)))
+        best_val, best_s = float(expr[k]), float(grid[k])
+    else:
+        best_val, best_s = math.inf, float(grid[0])
     holds = positive_ok and not singular and best_val > 0.0
-    return ShenReport(holds=holds, min_value=float(best_val), argmin_s=best_s,
-                      singular_points=tuple(singular))
+    return ShenReport(holds=holds, min_value=best_val, argmin_s=best_s,
+                      singular_points=singular)

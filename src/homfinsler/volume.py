@@ -14,8 +14,9 @@ with the auxiliary weight
 
 For phi = 1 both factors are exactly 1.  The integrals use Gauss-Jacobi
 (Gegenbauer) rules, which integrate the weight exactly, doubling the node
-count until two successive factors agree to a relative _RTOL.  The bh sum
-is scaled by its largest term, so phi^-n does not overflow at large n.
+count until two successive factors agree to a relative _RTOL.  Each rule
+evaluates phi (bh) or T (ht) on its whole node array in one call.  The bh
+sum is scaled by its largest term, so phi^-n does not overflow at large n.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError, ValidatedModeError
-from .metrics import PhiFamily
+from .metrics import MetricSpec, PhiFamily, shen_check
 
 __all__ = [
     "VolumeCoefficients",
@@ -40,8 +41,11 @@ _RTOL = 1e-11
 _MAX_DOUBLINGS = 4
 
 
-def t_function(phi: PhiFamily, s: float, b: float, n: int) -> float:
-    """The Holmes-Thompson integrand weight T(s)."""
+def t_function(phi: PhiFamily, s, b: float, n: int):
+    """The Holmes-Thompson integrand weight T(s).
+
+    s is a float or a float64 ndarray; an array gives T at every entry.
+    """
     p = phi.phi(s)
     core = p - s * phi.dphi(s)
     return p * core ** (n - 2) * (core + (b * b - s * s) * phi.d2phi(s))
@@ -98,8 +102,9 @@ def volume_coefficient(phi: PhiFamily, b: float, n: int, form: str,
                        mode: str = "formal", nodes: int = 64) -> float:
     """Volume rescaling factor f(b) for form "bh" or "ht".
 
-    In validated mode the profile must be positive on [-b, b] (checked via
-    the positivity criterion grid); the formal mode attempts the quadrature
+    In validated mode F = alpha*phi(s) must be a Finsler metric for |s| <= b:
+    the call is refused exactly when ``shen_check`` on (phi, b) fails, as in
+    the validated curvature routes.  The formal mode attempts the quadrature
     regardless.  ``nodes`` is the size of the first rule; QuadratureError is
     raised when the factor has not settled after four doublings, which is
     how non-integrable profiles surface.
@@ -115,12 +120,12 @@ def _factor(phi, b, n, form, count):
         if form == "bh":
             # phi^-n = sign(phi)^n exp(e) with e = -n log|phi|, summed relative
             # to the largest exponent m so that large n cannot overflow
-            p = np.fromiter((phi.phi(t) for t in s), float, count)
+            p = np.broadcast_to(phi.phi(s), s.shape)
             e = -n * np.log(np.abs(p))
             m = float(np.max(e))
             vals = np.sign(p) ** n * np.exp(e - m)
         else:
-            vals = np.fromiter((t_function(phi, t, b, n) for t in s), float, count)
+            vals = t_function(phi, s, b, n)
         if not np.all(np.isfinite(vals)):
             raise QuadratureError(
                 f"{form} integrand not finite at {count} nodes (b = {b:.6g}, n = {n})")
@@ -142,11 +147,11 @@ def _volume_with_count(phi, b, n, form, mode, nodes):
     if nodes < 1:
         raise ValueError(f"nodes must be >= 1, got {nodes}")
     if mode == "validated":
-        grid = np.linspace(-b, b, 201)
-        bad = [s for s in map(float, grid) if not _positive_at(phi, s)]
-        if bad:
+        shen = shen_check(MetricSpec(phi, b))
+        if not shen.holds:
             raise ValidatedModeError(
-                f"validated mode: phi({phi.name}) not positive at s = {bad[0]:.6g} on [-b, b]")
+                f"validated mode: {phi.name} is not positive definite for |s| <= {b:.6g} "
+                f"(positivity criterion min {shen.min_value:.6g} at s = {shen.argmin_s:.6g})")
 
     count = evals = nodes
     cur = _factor(phi, b, n, form, count)
@@ -159,14 +164,6 @@ def _volume_with_count(phi, b, n, form, mode, nodes):
     raise QuadratureError(
         f"{form} factor did not converge for {phi.name} at b = {b:.6g}, n = {n}: "
         f"{prev:.12g} at {count // 2} nodes, {cur:.12g} at {count} nodes")
-
-
-def _positive_at(phi, s) -> bool:
-    try:
-        val = phi.phi(s)
-    except ZeroDivisionError:
-        return False
-    return math.isfinite(val) and val > 0.0
 
 
 def volume_coefficients(phi: PhiFamily, b: float, n: int, mode: str = "formal",

@@ -10,8 +10,9 @@ import pytest
 
 import homfinsler
 from homfinsler import DomainError, catalog_get, s_curvature, volume_coefficient
+from homfinsler import cli
 from homfinsler.cli import SpaceConfig, main
-from homfinsler.curvature import unit_directions
+from homfinsler.curvature import _s_rows, unit_directions
 from homfinsler.metrics import MetricSpec, phi_family
 
 SOLVABLE_JSON = {
@@ -305,6 +306,42 @@ class TestScan:
                 continue
             for g, x in zip(got, expect):
                 assert abs(g - x) <= 1e-13 * (1.0 + abs(x))
+
+    def test_csv_matches_csv_writer(self, monkeypatch):
+        # the scan CSV is written from a row template; it must match the
+        # csv.writer + _fmt output of _emit byte for byte, flagged nan rows,
+        # -0.0, subnormals and an overflowing |y| included
+        dirs = unit_directions(3, 40, np.random.default_rng(5))
+        dirs[3] = [0.6, 0.8, 0.0]          # s = 0: pole of Q (infinite series)
+        dirs[5] = [1e300, 1e300, 1e300]    # |y|^2 overflows
+        dirs[7] = [-0.0, 1.0, 0.5]
+        dirs[9] = [5e-324, 0.7, -0.7]
+        monkeypatch.setattr(cli, "unit_directions", lambda n, count, rng: dirs)
+        _, text = run(["scan", "--space", "catalog:heisenberg3", "--metric",
+                       "infinite_series", "--grid", "40", "--format", "csv"])
+
+        e = catalog_get("heisenberg3")
+        spec = MetricSpec.for_vector(phi_family("infinite_series"), e.v)
+        closed = _s_rows(e.model, e.v, spec, dirs, "closed_form")
+        generic = _s_rows(e.model, e.v, spec, dirs, "generic")
+        failed = (closed.flag > 0) | (generic.flag > 0)
+        assert failed[3] and failed[5] and failed.sum() == 2
+        s_closed = np.where(failed, np.nan, closed.S)
+        s_generic = np.where(failed, np.nan, generic.S)
+        records = []
+        for idx, y in enumerate(dirs.tolist()):
+            rec = {"index": idx}
+            for comp in range(3):
+                rec[f"y{comp}"] = y[comp]
+            rec["s"] = float(e.v.c * dirs[idx, -1])
+            rec["S_closed"] = float(s_closed[idx])
+            rec["S_generic"] = float(s_generic[idx])
+            rec["abs_diff"] = float(abs(s_closed[idx] - s_generic[idx]))
+            records.append(rec)
+        expected = io.StringIO()
+        cli._emit(records, "csv", expected)
+        assert text == expected.getvalue()
+        assert ",nan," in text and ",-0," in text and "4.9406564584124654e-324" in text
 
     def test_scan_requires_closed_family(self, capsys):
         code, _ = run(["scan", "--space", "catalog:heisenberg3",

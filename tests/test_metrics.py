@@ -1,4 +1,6 @@
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -9,10 +11,15 @@ from homfinsler import (
     DomainError,
     MetricSpec,
     PhiFamily,
+    QuadratureError,
+    SingularityError,
+    ValidatedModeError,
     catalog_get,
+    coefficients_generic,
     finsler_norm,
     phi_family,
     shen_check,
+    volume_coefficient,
 )
 
 ALL_FAMILIES = ("randers", "kropina", "matsumoto", "infinite_series", "exponential")
@@ -193,3 +200,151 @@ class TestShenCheck:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             shen_check(MetricSpec(phi_family("randers"), 0.5), samples=2)
+
+
+# ---------------------------------------------------------------------------
+# the float-or-array evaluator contract
+# ---------------------------------------------------------------------------
+
+# The scalar evaluators as they were defined before they took arrays.
+_SCALAR_REFERENCE = {
+    "randers": (lambda s: 1.0 + s, lambda s: 1.0, lambda s: 0.0, lambda s: 0.0),
+    "kropina": (lambda s: 1.0 / s, lambda s: -1.0 / s**2, lambda s: 2.0 / s**3,
+                lambda s: -6.0 / s**4),
+    "matsumoto": (lambda s: 1.0 / (1.0 - s), lambda s: 1.0 / (1.0 - s) ** 2,
+                  lambda s: 2.0 / (1.0 - s) ** 3, lambda s: 6.0 / (1.0 - s) ** 4),
+    "infinite_series": (lambda s: s**2 / (s - 1.0),
+                        lambda s: (s**2 - 2.0 * s) / (s - 1.0) ** 2,
+                        lambda s: 2.0 / (s - 1.0) ** 3, lambda s: -6.0 / (s - 1.0) ** 4),
+    "exponential": (math.exp,) * 4,
+}
+_POLY = [0.7, -0.3, 0.25, 0.125, -0.05]
+
+
+def _numpy_polynomial(coeffs):
+    """The polynomial evaluators as np.polynomial.Polynomial calls."""
+    polys = [np.polynomial.Polynomial(coeffs)]
+    for _ in range(3):
+        polys.append(polys[-1].deriv())
+    return tuple((lambda s, p=p: float(p(s))) for p in polys)
+
+
+def _contract_cases():
+    cases = [pytest.param(phi_family(fam), _SCALAR_REFERENCE[fam], _sample_points(fam, 60),
+                          id=fam)
+             for fam in ALL_FAMILIES]
+    for k, coeffs in enumerate((_POLY, [1.0], [1.0, 1.0])):
+        cases.append(pytest.param(PhiFamily.polynomial(coeffs), _numpy_polynomial(coeffs),
+                                  np.linspace(-3.0, 3.0, 61), id=f"polynomial{k}"))
+    return cases
+
+
+def _evaluators(fam):
+    return (fam.phi, fam.dphi, fam.d2phi, fam.d3phi)
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def _old_shen_check(spec, samples=201):
+    """shen_check as the per-point loop it was before the array pass."""
+    b = spec.b
+    grid = np.linspace(-b, b, samples)
+    if not np.any(grid == 0.0):
+        grid = np.sort(np.append(grid, 0.0))
+    phi = spec.phi
+    best_val = math.inf
+    best_s = float(grid[0])
+    positive_ok = True
+    singular = []
+    for s in map(float, grid):
+        try:
+            p = phi.phi(s)
+            expr = p - s * phi.dphi(s) + (b * b - s * s) * phi.d2phi(s)
+        except ZeroDivisionError:
+            singular.append(s)
+            continue
+        if not (math.isfinite(p) and math.isfinite(expr)):
+            singular.append(s)
+            continue
+        if p <= 0.0:
+            positive_ok = False
+        if expr < best_val:
+            best_val = expr
+            best_s = s
+    holds = positive_ok and not singular and best_val > 0.0
+    return holds, float(best_val), best_s, tuple(singular)
+
+
+class TestEvaluatorContract:
+    @pytest.mark.parametrize("fam, reference, points", _contract_cases())
+    def test_scalar_values_unchanged(self, fam, reference, points):
+        for s in points.tolist():
+            for new, old in zip(_evaluators(fam), reference):
+                for x in (s, np.float64(s)):
+                    got = new(x)
+                    assert isinstance(got, float), x
+                    assert _bits(got) == _bits(old(x)), x
+
+    @pytest.mark.parametrize("fam, reference, points", _contract_cases())
+    def test_array_values_within_two_ulp(self, fam, reference, points):
+        for new in _evaluators(fam):
+            got = np.broadcast_to(new(points), points.shape)
+            want = np.array([new(s) for s in points.tolist()])
+            assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
+
+    @pytest.mark.parametrize("b", [0.0, 0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("family", ALL_FAMILIES + ("polynomial",))
+    def test_shen_check_matches_pointwise_loop(self, family, b):
+        phi = PhiFamily.polynomial(_POLY) if family == "polynomial" else phi_family(family)
+        spec = MetricSpec(phi, b)
+        holds, min_value, argmin_s, singular = _old_shen_check(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = shen_check(spec)
+        assert report.holds == holds
+        assert report.argmin_s == argmin_s
+        assert report.singular_points == singular
+        if math.isinf(min_value):
+            assert report.min_value == min_value
+        else:
+            assert abs(report.min_value - min_value) <= 1e-15 * abs(min_value)
+        if family == "kropina":  # the pole s = 0 lies on every grid
+            assert 0.0 in report.singular_points and not report.holds
+
+    def test_custom_scalar_only_callables(self):
+        # max() cannot take an array; on [-b, b] this is the Randers profile
+        kinked = PhiFamily.custom(lambda s: 1.0 + max(s, -2.0),
+                                  lambda s: 1.0 if s > -2.0 else 0.0,
+                                  lambda s: 0.0, lambda s: 0.0)
+        randers = phi_family("randers")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for form in ("bh", "ht"):
+                assert volume_coefficient(kinked, 0.5, 3, form) \
+                    == volume_coefficient(randers, 0.5, 3, form)
+            assert shen_check(MetricSpec(kinked, 0.5)) == shen_check(MetricSpec(randers, 0.5))
+            assert kinked.phi(np.array([[-3.0], [0.5]])).tolist() == [[-1.0], [1.5]]
+
+    def test_custom_pole_reads_nan_on_arrays(self):
+        def phi(s):
+            return 1.0 / 0.0 if s < 0.0 else 1.0 + s
+
+        fam = PhiFamily.custom(phi, lambda s: 1.0, lambda s: 0.0, lambda s: 0.0)
+        got = fam.phi(np.array([-0.5, 0.5]))
+        assert math.isnan(got[0]) and got[1] == 1.5
+        with pytest.raises(ZeroDivisionError):
+            fam.phi(-0.5)
+        with pytest.raises(SingularityError, match="pole"):
+            coefficients_generic(fam, -0.25, 0.5, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = shen_check(MetricSpec(fam, 0.5))
+            assert not report.holds
+            assert report.singular_points == tuple(np.linspace(-0.5, 0.5, 201)[:100])
+            assert report.argmin_s >= 0.0
+            with pytest.raises(QuadratureError, match="not finite"):
+                volume_coefficient(fam, 0.5, 3, "bh")
+            with pytest.raises(ValidatedModeError):
+                volume_coefficient(fam, 0.5, 3, "ht", mode="validated")

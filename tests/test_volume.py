@@ -107,6 +107,14 @@ class TestOracles:
         f = volume_coefficient(phi_family(family), 0.9, n, "ht")
         assert f == pytest.approx(_mp_factor(mp_phi, 0.9, n, "ht"), rel=1e-10)
 
+    @pytest.mark.parametrize("family", ["matsumoto", "one"])
+    def test_ht_array_path_n16(self, family):
+        # T evaluated on the whole node array at once
+        phi, mp_phi = {"matsumoto": (phi_family("matsumoto"), lambda s: 1 / (1 - s)),
+                       "one": (PhiFamily.polynomial([1.0]), lambda s: mpmath.mpf(1))}[family]
+        f = volume_coefficient(phi, 0.9, 16, "ht")
+        assert f == pytest.approx(_mp_factor(mp_phi, 0.9, 16, "ht"), rel=1e-10)
+
     def test_large_n_rule_overflow_is_silent(self):
         # the Christoffel sums overflow at the outermost nodes, where the
         # weights underflow to 0; that must raise no RuntimeWarning
@@ -168,6 +176,14 @@ class TestVolumeCoefficient:
     def test_validated_mode_allows_randers(self):
         f = volume_coefficient(phi_family("randers"), 0.5, 3, "bh", mode="validated")
         assert f == pytest.approx(0.75**2, abs=1e-6)
+
+    def test_validated_mode_is_shen_criterion(self):
+        # phi = 1/(1 - s) stays positive on [-0.6, 0.6], but the positivity
+        # criterion fails there (it needs b < 1/2), so validated mode refuses
+        with pytest.raises(ValidatedModeError, match="matsumoto"):
+            volume_coefficient(phi_family("matsumoto"), 0.6, 3, "bh", mode="validated")
+        f = volume_coefficient(phi_family("exponential"), 0.9, 3, "ht", mode="validated")
+        assert f == volume_coefficient(phi_family("exponential"), 0.9, 3, "ht")
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="n must"):
