@@ -222,6 +222,18 @@ class ReductiveModel:
         return (self.structure.antisymmetry_residual(),
                 self.structure.jacobi_residual(), red, inv_ip)
 
+    @functools.cached_property
+    def _origin(self) -> tuple:
+        """(gamma, r1, s1): the origin tensors at c = 1, once per model (read-only).
+
+        ``origin_tensors`` scales r1 and s1 by c = |v|; gamma does not depend on v.
+        """
+        br = self._brackets
+        rn = br[-1]
+        upper = np.triu(0.5 * br[:, :, -1], 1)
+        return (_readonly(_christoffel(br)), _readonly(-0.5 * (rn + rn.T)),
+                _readonly(upper - upper.T))
+
 
 @dataclass(frozen=True, eq=False)
 class InvariantVector:
@@ -365,7 +377,7 @@ def christoffel_origin(model: ReductiveModel) -> np.ndarray:
         (1/2) * (-<[v_i, v_j]_m, v_l> + <[v_l, v_i]_m, v_j> + <[v_l, v_j]_m, v_i>)
     and the i < j entries mirror the i > j ones (torsion-free symmetry).
     """
-    return _christoffel(model._brackets)
+    return model._origin[0]
 
 
 def origin_tensors(model: ReductiveModel, v: InvariantVector) -> OriginTensors:
@@ -376,14 +388,11 @@ def origin_tensors(model: ReductiveModel, v: InvariantVector) -> OriginTensors:
     r[i, j] = -(c/2)(<[v_n, v_i]_m, v_j> + <[v_n, v_j]_m, v_i>) exactly
     symmetric.
     """
-    n = model.m_dim
-    br = model._brackets
-    gamma = _christoffel(br)
+    gamma, r1, s1 = model._origin
     if v.c == 0.0:
+        n = model.m_dim
         return OriginTensors(gamma=gamma, r=np.zeros((n, n)), s=np.zeros((n, n)))
-    upper = np.triu(0.5 * v.c * br[:, :, -1], 1)
-    rn = br[-1]
-    return OriginTensors(gamma=gamma, r=-0.5 * v.c * (rn + rn.T), s=upper - upper.T)
+    return OriginTensors(gamma=gamma, r=v.c * r1, s=v.c * s1)
 
 
 def s0_r00(model: ReductiveModel, v: InvariantVector, y) -> tuple[float, float]:

@@ -26,9 +26,12 @@ test suite:
                      the contracted origin tensors instead of raw brackets.
 
 The mean Berwald curvature E_ij = (1/2) d^2 S / dy_i dy_j has a closed form
-for the same profiles (the Hessians of W(s) <[v,y],y>/alpha and of
-(WQ)(s) <[v,y],v>, assembled at y/|y| and divided by |y|), and a
-finite-difference route that Hessians the generic S.
+for the same profiles and a finite-difference route that Hessians the
+generic S.  The closed form is the Hessian of W(s) <[v,y],y>/alpha +
+(WQ)(s) <[v,y],v> at y/|y|, divided by |y|: one symmetric 4 x 4 matrix M of
+scalars in (s, W, W', W'', Q, Q', Q'') sandwiched between the four vectors
+s_y, y, <[v,v_i],y> + <[v,y],v_i> and <[v,v_i],v>, plus multiples of
+P + P^T and of the identity (see ``_mean_berwald_closed``).
 
 Every route reads [v,y]_m = c (y @ br[-1]) from the frame brackets
 br[a,b,c] = <[v_a,v_b]_m, v_c> that each model computes once.  A block of
@@ -124,6 +127,11 @@ def coefficients_generic(phi: PhiFamily, s: float, b: float, n: int) -> Coeffici
     A pole of phi (an evaluator's ZeroDivisionError or a non-finite value)
     raises SingularityError.
     """
+    return CoefficientBundle(s, b, n, *_generic_coefficients(phi, s, b, n))
+
+
+def _generic_coefficients(phi: PhiFamily, s: float, b: float, n: int) -> tuple:
+    """(Q, Q', Q'', Delta, Phi) as a plain tuple; see ``coefficients_generic``."""
     try:
         vals = (phi.phi(s), phi.dphi(s), phi.d2phi(s), phi.d3phi(s))
     except ZeroDivisionError:
@@ -140,8 +148,7 @@ def coefficients_generic(phi: PhiFamily, s: float, b: float, n: int) -> Coeffici
     delta = 1.0 + s * q + (b * b - s * s) * qp
     phi_big = (-(q - s * qp) * (n * delta + 1.0 + s * q)
                - (b * b - s * s) * (1.0 + s * q) * qpp)
-    return CoefficientBundle(s=s, b=b, n=n, Q=q, Qp=qp, Qpp=qpp,
-                             Delta=delta, Phi=phi_big)
+    return q, qp, qpp, delta, phi_big
 
 
 def _horner(c, s):
@@ -418,10 +425,9 @@ def s_curvature(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
     bvy_v = v.c * float(br[-1])                 # <[v, y]_m, v>
     s = v.c * float(y[-1]) / alpha
     if path == "generic":
-        bundle = coefficients_generic(spec.phi, s, spec.b, model.m_dim)
-        _guard(bundle.Delta, s, "Delta = 0")
-        return bundle.Phi / (2.0 * alpha * bundle.Delta**2) * (
-            bvy_y + alpha * bundle.Q * bvy_v)
+        q, _, _, delta, phi_big = _generic_coefficients(spec.phi, s, spec.b, model.m_dim)
+        _guard(delta, s, "Delta = 0")
+        return phi_big / (2.0 * alpha * delta**2) * (bvy_y + alpha * q * bvy_v)
     family = spec.phi.name
     forms = _rational_forms(family, spec.b, model.m_dim)
     q = _horner(forms.N, s) / _guard(_horner(forms.D, s), s, f"pole of Q ({family})")
@@ -553,10 +559,9 @@ def s_curvature_via_tensors(model: ReductiveModel, v: InvariantVector,
     if r00 == 0.0 and s0 == 0.0:
         return 0.0
     s = v.c * float(y[-1]) / alpha
-    bundle = coefficients_generic(spec.phi, s, spec.b, model.m_dim)
-    _guard(bundle.Delta, s, "Delta = 0")
-    return -bundle.Phi / (2.0 * alpha * bundle.Delta**2) * (
-        r00 - 2.0 * alpha * bundle.Q * s0)
+    q, _, _, delta, phi_big = _generic_coefficients(spec.phi, s, spec.b, model.m_dim)
+    _guard(delta, s, "Delta = 0")
+    return -phi_big / (2.0 * alpha * delta**2) * (r00 - 2.0 * alpha * q * s0)
 
 
 # ---------------------------------------------------------------------------
@@ -608,37 +613,46 @@ def berwald_workspace(model: ReductiveModel, v: InvariantVector,
                             y_lowered=y.copy())
 
 
-def _hessian_of_product(f, s_y, s_yy, g, g_y, g_yy) -> np.ndarray:
-    """Hessian in y of f(s(y)) g(y) from f = (f, f', f'') at s and g, g_y, g_yy.
-
-    Every term is exactly symmetric, so the sum is too.
-    """
-    f0, f1, f2 = f
-    t = np.outer(s_y, g_y)
-    return f2 * g * np.outer(s_y, s_y) + f1 * g * s_yy + f1 * (t + t.T) + f0 * g_yy
-
-
 def _mean_berwald_closed(model, v, spec, y, alpha) -> np.ndarray:
-    """Half the Hessian of the closed S, assembled at y/|y| and divided by |y|."""
-    n, family = model.m_dim, spec.phi.name
-    y = y / alpha
-    s, s_y, s_yy = _s_derivs(v.c, y, 1.0)
-    w = _factor_derivs(family, s, spec.b, n)
-    c = _closed_coefficients(family, s, spec.b, n)
-    p = v.c * model._brackets[-1].T       # P[:, j] = [v, v_j]_m
-    if not p.any():
+    """Half the Hessian of the closed S, assembled at y/|y| and divided by |y|.
+
+    At |y| = 1, with Pt = c br[-1] (Pt[i, j] = <[v, v_i]_m, v_j>), the
+    Hessian of W(s) <[v,y],y> + (WQ)(s) <[v,y],v> is the rank-4 form
+
+        H = V^T M V + f0 (Pt + Pt^T) - (k s + f0 g) I,   V = [a; y; u; r],
+
+    with a = s_y = c e_n - s y, u = Pt y + y Pt, g = <y Pt, y>,
+    G = c (y Pt)_n, r = c Pt[:, -1], (f0, f1, f2) = (W, W', W''), h1 and h2
+    the first two s-derivatives of WQ, and k = f1 g + h1 G; M is symmetric
+    with the entries below.  E = (H + H^T) / (4 |y|) is exactly symmetric.
+    """
+    n, family, c = model.m_dim, spec.phi.name, v.c
+    forms = _rational_forms(family, spec.b, n)      # ValueError without a closed form
+    pt = c * model._brackets[-1]
+    if not pt.any():                                # [v, .]_m = 0: E = 0 at every s
         return np.zeros((n, n))
-    py = p @ y
-    g = float(py @ y)                     # <[v,y],y> at |y| = 1
-    u = p.T @ y + py                      # <[v,v_i],y> + <[v,y],v_i>
-    t = np.outer(u, y)
-    g_yy = (p + p.T) - (t + t.T) - g * np.eye(n) + 3.0 * g * np.outer(y, y)
-    first = _hessian_of_product(w, s_y, s_yy, g, u - g * y, g_yy)
-    wq = (w[0] * c.Q, w[1] * c.Q + w[0] * c.Qp,
-          w[2] * c.Q + 2.0 * w[1] * c.Qp + w[0] * c.Qpp)
-    second = _hessian_of_product(wq, s_y, s_yy, float(py @ v.frame_coords(model)),
-                                 v.c * p[-1, :], 0.0)  # <[v,v_i],v>; linear in y
-    return 0.5 * (first + second) / alpha
+    y = y / alpha
+    s = c * float(y[-1])
+    f0, f1, f2 = _factor_derivs(family, s, spec.b, n)
+    d = _guard(_horner(forms.D, s), s, f"pole of Q ({family})")
+    q, qp, qpp = _horner(forms.N, s) / d, _horner(forms.A, s) / d**2, _horner(forms.B, s) / d**3
+    h1 = f1 * q + f0 * qp
+    h2 = f2 * q + 2.0 * f1 * qp + f0 * qpp
+    yp = y @ pt                                     # [v, y]_m
+    g = float(yp @ y)
+    big_g = c * float(yp[-1])
+    k = f1 * g + h1 * big_g
+    a = -s * y
+    a[-1] += c
+    vv = np.array((a, y, pt @ y + yp, c * pt[:, -1]))
+    m_ay = -k - f1 * g
+    m = np.array(((f2 * g + h2 * big_g, m_ay, f1, h1),
+                  (m_ay, k * s + 3.0 * f0 * g, -f0, 0.0),
+                  (f1, -f0, 0.0, 0.0),
+                  (h1, 0.0, 0.0, 0.0)))
+    h = vv.T @ m @ vv + f0 * (pt + pt.T)
+    h.flat[::n + 1] -= k * s + f0 * g
+    return (h + h.T) / (4.0 * alpha)
 
 
 @functools.lru_cache(maxsize=32)

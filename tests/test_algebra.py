@@ -1,16 +1,16 @@
 import dataclasses
-import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_model, similitude, space_cases, space_of
+
 from homfinsler import (
     InvariantVector,
     StructureConstants,
     bracket_m,
-    build_model,
     catalog_get,
     catalog_names,
     christoffel_origin,
@@ -19,13 +19,6 @@ from homfinsler import (
     s0_r00,
     validate_model,
 )
-
-
-def make_model(dim_g, entries, h_dim=0, inner=None, v=None, strict=True):
-    structure = StructureConstants.from_entries(dim_g, entries, strict=strict)
-    if inner is None:
-        inner = np.eye(dim_g - h_dim)
-    return build_model(structure, h_dim, inner, v)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +330,56 @@ class TestOriginTensors:
             assert abs(s0 - 0.5 * float(br @ vf)) <= 1e-10
 
 
+def old_origin_tensors(model, v):
+    """The origin tensors as computed from the brackets on every call, before the cache."""
+    n = model.m_dim
+    br = model._brackets
+    full = 0.5 * (-br.transpose(2, 0, 1) + br + br.transpose(0, 2, 1))
+    gamma = np.where(np.tri(n, dtype=bool), full, full.transpose(0, 2, 1))
+    if v.c == 0.0:
+        return gamma, np.zeros((n, n)), np.zeros((n, n))
+    upper = np.triu(0.5 * v.c * br[:, :, -1], 1)
+    rn = br[-1]
+    return gamma, -0.5 * v.c * (rn + rn.T), upper - upper.T
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestOriginCache:
+    @pytest.mark.parametrize("case", space_cases())
+    def test_matches_the_per_call_formulas(self, case):
+        sp = space_of(case)
+        got = origin_tensors(sp.model, sp.v)
+        want = old_origin_tensors(sp.model, sp.v)
+        for name, ref in zip(("gamma", "r", "s"), want):
+            assert same_bits(getattr(got, name), ref), name
+        assert same_bits(christoffel_origin(sp.model), want[0])
+
+    def test_cached_read_only_and_not_a_field(self):
+        model, v = similitude(3, 1.3)
+        cache = model._origin
+        assert model._origin is cache
+        assert origin_tensors(model, v).gamma is cache[0]
+        for arr in cache:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert "_origin" not in {f.name for f in dataclasses.fields(model)}
+        fresh = dataclasses.replace(model)
+        assert "_origin" not in vars(fresh)
+        assert all(a is not b and same_bits(a, b) for a, b in zip(fresh._origin, cache))
+
+    def test_zero_v_after_the_cache_is_warm(self):
+        e = catalog_get("heisenberg3")
+        e.model._origin
+        zero = InvariantVector.from_coords(e.model, [0.0, 0.0, 0.0])
+        tensors = origin_tensors(e.model, zero)
+        assert same_bits(tensors.r, np.zeros((3, 3)))
+        assert same_bits(tensors.s, np.zeros((3, 3)))
+
+
 class TestFrameBrackets:
     def test_matches_bracket_m(self, entry):
         br = entry.model._brackets
@@ -389,37 +432,6 @@ def loop_residuals(model, v):
             zv = st.bracket(wg, np.concatenate([np.zeros(h), v.coords]))[h:]
             inv_v = max(inv_v, float(np.max(np.abs(zv), initial=0.0)))
     return [st.antisymmetry_residual(), st.jacobi_residual(), red, inv_ip, inv_v]
-
-
-def similitude(k, mu, inner=None, v=None, twin=False):
-    """(so(k) + R D) x| R^k with h = so(k) and m = span(D, T_1..T_k).
-
-    The rotation generators act on the T_i, [D, T_i] = mu T_i; by default
-    the inner product is the h-invariant diag(1.5, 0.8, ..., 0.8) and v lies
-    along D.  ``twin`` perturbs [D, T_1], which breaks the Jacobi identity.
-    """
-    pairs = list(itertools.combinations(range(k), 2))
-    h = len(pairs)
-    gens = []
-    for a, c in pairs:
-        g = np.zeros((k, k))
-        g[a, c], g[c, a] = 1.0, -1.0
-        gens.append(g)
-    entries = {}
-    for p, q in itertools.combinations(range(h), 2):
-        comm = gens[p] @ gens[q] - gens[q] @ gens[p]
-        for r, (a, c) in enumerate(pairs):
-            if comm[a, c] != 0.0:
-                entries[(p, q, r)] = float(comm[a, c])
-    for p, g in enumerate(gens):
-        for i, r in zip(*np.nonzero(g.T)):
-            entries[(p, h + 1 + int(i), h + 1 + int(r))] = float(g[r, i])
-    for i in range(k):
-        entries[(h, h + 1 + i, h + 1 + i)] = mu + (0.5 if twin and i == 0 else 0.0)
-    if inner is None:
-        inner = np.diag([1.5] + [0.8] * k)
-        v = [0.5 / np.sqrt(1.5)] + [0.0] * k
-    return make_model(h + 1 + k, entries, h_dim=h, inner=inner, v=v)
 
 
 def _residual_cases():

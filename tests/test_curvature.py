@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import sympy
 
-from conftest import FAMILIES, sample_in_domain, spec_for
+from conftest import FAMILIES, sample_in_domain, space_cases, space_of, spec_for
 
 from homfinsler import (
     CoefficientBundle,
@@ -461,6 +461,129 @@ class TestMeanBerwald:
         with pytest.raises(SingularityError) as fd:
             mean_berwald(e.model, e.v, spec, [1.0, 0.0], path="finite_difference")
         assert str(fd.value) == str(scalar.value)
+
+
+def old_closed_e(model, v, spec, y):
+    """Closed E as the sum of two Hessians of products f(s(y)) g(y), as assembled
+    before the rank-4 form."""
+    def hessian_of_product(f, s_y, s_yy, g, g_y, g_yy):
+        f0, f1, f2 = f
+        t = np.outer(s_y, g_y)
+        return f2 * g * np.outer(s_y, s_y) + f1 * g * s_yy + f1 * (t + t.T) + f0 * g_yy
+
+    n, family = model.m_dim, spec.phi.name
+    alpha = float(np.linalg.norm(y))
+    y = y / alpha
+    s, s_y, s_yy = curvature._s_derivs(v.c, y, 1.0)
+    w = _factor_derivs(family, s, spec.b, n)
+    c = curvature._closed_coefficients(family, s, spec.b, n)
+    p = v.c * model._brackets[-1].T
+    py = p @ y
+    g = float(py @ y)
+    u = p.T @ y + py
+    t = np.outer(u, y)
+    g_yy = (p + p.T) - (t + t.T) - g * np.eye(n) + 3.0 * g * np.outer(y, y)
+    first = hessian_of_product(w, s_y, s_yy, g, u - g * y, g_yy)
+    wq = (w[0] * c.Q, w[1] * c.Q + w[0] * c.Qp,
+          w[2] * c.Q + 2.0 * w[1] * c.Qp + w[0] * c.Qpp)
+    second = hessian_of_product(wq, s_y, s_yy, float(py @ v.frame_coords(model)),
+                                v.c * p[-1, :], 0.0)
+    return 0.5 * (first + second) / alpha
+
+
+def old_s_via_tensors(model, v, spec, y):
+    """The tensor-route S with the origin tensors rebuilt from the brackets."""
+    y = np.asarray(y, dtype=float)
+    alpha = float(np.linalg.norm(y))
+    br = model._brackets
+    upper = np.triu(0.5 * v.c * br[:, :, -1], 1)
+    rn = br[-1]
+    r00 = float(y @ (-0.5 * v.c * (rn + rn.T)) @ y)
+    s0 = v.c * float((upper - upper.T)[-1] @ y)
+    if r00 == 0.0 and s0 == 0.0:
+        return 0.0
+    s = v.c * float(y[-1]) / alpha
+    bundle = coefficients_generic(spec.phi, s, spec.b, model.m_dim)
+    curvature._guard(bundle.Delta, s, "Delta = 0")
+    return -bundle.Phi / (2.0 * alpha * bundle.Delta**2) * (
+        r00 - 2.0 * alpha * bundle.Q * s0)
+
+
+def _value_or_message(fn, *args):
+    try:
+        return fn(*args)
+    except (DomainError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestClosedRankFour:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("case", space_cases())
+    def test_matches_the_product_hessians(self, case, family, rng):
+        sp = space_of(case)
+        spec = spec_for(sp, family)
+        for y in sample_in_domain(sp, family, 40, rng):
+            got = mean_berwald(sp.model, sp.v, spec, y)
+            want = old_closed_e(sp.model, sp.v, spec, y)
+            scale = float(np.max(np.abs(want)))
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale, (family, y)
+            assert np.array_equal(got, got.T)
+            # E is the Hessian of a degree-1 function: E y = 0
+            assert np.max(np.abs(got @ y)) <= 1e-12 * (1.0 + scale) * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("case", space_cases())
+    def test_pole_of_q_raises_as_before(self, case):
+        # y = e_0 has s = 0, the pole of Q for the infinite series
+        sp = space_of(case)
+        n = sp.model.m_dim
+        spec = spec_for(sp, "infinite_series")
+        y = np.eye(n)[0]
+        got = _value_or_message(mean_berwald, sp.model, sp.v, spec, y)
+        if sp.model._brackets[-1].any():
+            assert got == _value_or_message(old_closed_e, sp.model, sp.v, spec, y)
+            assert got.startswith("SingularityError: pole of Q (infinite_series) at s = 0")
+        else:
+            assert np.array_equal(got, np.zeros((n, n)))
+
+    def test_degeneration_wins_over_the_pole(self):
+        # [v, .]_m = 0: closed E is zero even at the pole s = 0 of Q, like
+        # closed S, generic S and finite-difference E
+        for name in ("abelian3", "heisenberg_central_v"):
+            e = catalog_get(name)
+            spec = spec_for(e, "infinite_series")
+            y = [1.0, 0.3, 0.0]
+            assert s_curvature(e.model, e.v, spec, y) == 0.0
+            assert s_curvature(e.model, e.v, spec, y, path="generic") == 0.0
+            for path in ("closed_form", "finite_difference"):
+                assert np.array_equal(mean_berwald(e.model, e.v, spec, y, path=path),
+                                      np.zeros((3, 3)))
+
+    def test_family_without_closed_form_is_checked_first(self):
+        # the missing closed form is reported even where E would be zero
+        for name in ("abelian3", "solvable2"):
+            e = catalog_get(name)
+            spec = MetricSpec.for_vector(phi_family("randers"), e.v)
+            with pytest.raises(ValueError, match="closed-form"):
+                mean_berwald(e.model, e.v, spec, np.ones(e.model.m_dim))
+
+
+class TestTensorRoute:
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("case", space_cases())
+    def test_bit_identical_to_per_call_tensors(self, case, family, rng):
+        sp = space_of(case)
+        spec = spec_for(sp, family)
+        for y in rng.standard_normal((30, sp.model.m_dim)):
+            got = _value_or_message(s_curvature_via_tensors, sp.model, sp.v, spec, y)
+            want = _value_or_message(old_s_via_tensors, sp.model, sp.v, spec, y)
+            assert repr(got) == repr(want), y     # repr tells -0.0 from 0.0
+
+    def test_coefficients_generic_wraps_the_tuple(self):
+        phi = phi_family("matsumoto")
+        bundle = coefficients_generic(phi, 0.3, 0.5, 4)
+        assert (bundle.Q, bundle.Qp, bundle.Qpp, bundle.Delta, bundle.Phi) == \
+            curvature._generic_coefficients(phi, 0.3, 0.5, 4)
+        assert (bundle.s, bundle.b, bundle.n) == (0.3, 0.5, 4)
 
 
 # ---------------------------------------------------------------------------
