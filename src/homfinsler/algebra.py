@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-12
+# floats per temporary of StructureConstants.jacobi_residual (256 kB); blocks
+# start at dim_g = 14, and at dim_g = 16 and 22 they beat one d^4 temporary
+_JACOBI_BLOCK = 2**15
 
 
 def _readonly(a) -> np.ndarray:
@@ -111,55 +114,65 @@ class StructureConstants:
         return float(np.max(np.abs(self.tensor + self.tensor.transpose(1, 0, 2)), initial=0.0))
 
     def jacobi_residual(self) -> float:
-        """max |[[x,y],z] + [[y,z],x] + [[z,x],y]| over all basis triples."""
-        c = self.tensor
-        t = np.einsum("abm,mcl->abcl", c, c)
-        cyc = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
-        return float(np.max(np.abs(cyc), initial=0.0))
+        """max |[[x,y],z] + [[y,z],x] + [[z,x],y]| over all basis triples.
+
+        t[l, a, b, c] = sum_m c[a, b, m] c[m, c, l] comes from BLAS as
+        c.reshape(d^2, d) @ c[:, :, l], a few whole l-slices at a time so that
+        each temporary stays within _JACOBI_BLOCK floats; the cyclic sum over
+        (a, b, c) closes within a slice.  Every triple is kept, because a
+        tensor built with ``strict=False`` need not be antisymmetric.
+        """
+        d = self.dim_g
+        c2 = self.tensor.reshape(d * d, d)
+        cl = np.ascontiguousarray(self.tensor.transpose(2, 0, 1))   # cl[l] = c[:, :, l]
+        step = max(1, _JACOBI_BLOCK // max(d**3, 1))
+        worst = 0.0
+        for l0 in range(0, d, step):
+            t = (c2 @ cl[l0:l0 + step]).reshape(-1, d, d, d)
+            cyc = t + t.transpose(0, 2, 3, 1)                       # + t[l, c, a, b]
+            cyc += t.transpose(0, 3, 1, 2)                          # + t[l, b, c, a]
+            np.abs(cyc, out=cyc)
+            worst = max(worst, float(np.max(cyc)))
+        return worst
 
 
 def orthonormal_frame(inner_product: np.ndarray, v=None, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal frame of m, with v/|v| as last vector when v is nonzero.
 
-    Modified Gram-Schmidt in the given inner product: the frame is seeded
-    with v/|v|, then completed with identity columns chosen by largest
-    residual norm (pivoting); candidates with residual norm <= tol are
-    rejected as dependent.  Rows of the result are the frame vectors.
+    Pivoted modified Gram-Schmidt in the given inner product, run on all
+    candidates at once.  The candidates are the identity columns, kept as
+    rows of one array; v/|v| goes first when v is nonzero.  Each further
+    step takes the candidate of largest residual norm (the first on ties),
+    drops it by zeroing its row, and projects every candidate off the new
+    vector with one outer product.  A largest residual norm <= tol means
+    the inner product is degenerate.  Rows of the result are the frame
+    vectors.
     """
     g = np.asarray(inner_product, dtype=float)
     n = g.shape[0]
-
-    def norm(x):
-        return float(np.sqrt(max(x @ g @ x, 0.0)))
-
-    accepted = []
-    seeded = False
+    u = None                       # the next frame vector, when it is already known
     if v is not None:
         v = np.asarray(v, dtype=float)
-        c = norm(v)
+        c = float(np.sqrt(max(v @ g @ v, 0.0)))
         if c > 0.0:
-            accepted.append(v / c)
-            seeded = True
-
-    candidates = [np.eye(n)[i].copy() for i in range(n)]
-    for u in accepted:
-        for cand in candidates:
-            cand -= (cand @ g @ u) * u
-
-    while len(accepted) < n and candidates:
-        norms = [norm(cand) for cand in candidates]
-        j = int(np.argmax(norms))
-        if norms[j] <= tol:
-            break
-        u = candidates.pop(j) / norms[j]
-        accepted.append(u)
-        for cand in candidates:
-            cand -= (cand @ g @ u) * u
-    if len(accepted) < n:
-        raise ValueError("could not complete an orthonormal frame (inner product degenerate?)")
-
-    rows = accepted[1:] + [accepted[0]] if seeded else accepted
-    return np.array(rows)
+            u = v / c
+    seeded = u is not None
+    cand = np.eye(n)
+    frame = []
+    while len(frame) < n:
+        cg = cand @ g
+        if u is None:
+            norms = np.sqrt(np.maximum(np.einsum("ij,ij->i", cg, cand), 0.0))
+            j = int(np.argmax(norms))
+            if norms[j] <= tol:
+                raise ValueError("could not complete an orthonormal frame (inner product degenerate?)")
+            u = cand[j] / norms[j]
+            cand[j] = cg[j] = 0.0
+        frame.append(u)
+        if len(frame) < n:
+            cand -= np.outer(cg @ u, u)
+        u = None
+    return np.array(frame[1:] + frame[:1] if seeded else frame)
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,15 +273,26 @@ class InvariantVector:
 
 def build_model(structure: StructureConstants, h_dim: int, inner_product,
                 v_coords=None) -> tuple[ReductiveModel, InvariantVector]:
-    """Assemble a model and its invariant vector, constructing the frame."""
-    g = np.asarray(inner_product, dtype=float)
+    """Assemble a model and its invariant vector, constructing the frame.
+
+    A non-finite ``inner_product`` or ``v_coords``, or one of the wrong
+    shape, raises ValueError naming the input before any frame is built.
+    """
     m_dim = structure.dim_g - h_dim
-    if v_coords is None:
-        v_coords = np.zeros(m_dim)
-    frame = orthonormal_frame(g, np.asarray(v_coords, dtype=float))
+    g = np.asarray(inner_product, dtype=float)
+    if g.shape != (m_dim, m_dim):
+        raise ValueError(f"inner_product must be {m_dim} x {m_dim}, got shape {g.shape}")
+    if not np.isfinite(g).all():
+        raise ValueError("inner_product must be finite")
+    v = np.zeros(m_dim) if v_coords is None else np.asarray(v_coords, dtype=float)
+    if v.shape != (m_dim,):
+        raise ValueError(f"v_coords must have {m_dim} components, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("v_coords must be finite")
+    frame = orthonormal_frame(g, v)
     model = ReductiveModel(structure=structure, h_dim=h_dim, m_dim=m_dim,
                            inner_product=g, frame=frame)
-    return model, InvariantVector.from_coords(model, v_coords)
+    return model, InvariantVector.from_coords(model, v)
 
 
 # ---------------------------------------------------------------------------

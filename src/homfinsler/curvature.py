@@ -411,10 +411,13 @@ def s_curvature(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
     ``path`` selects "closed_form" (the rational functions derived from
     ``_RATIONAL_Q``, for the infinite-series and exponential profiles) or
     "generic" (from phi derivatives).  Degenerate cases are exact: v = 0 or
-    [v, y]_m = 0 give 0.
+    [v, y]_m = 0 give 0.  A family without a closed form raises ValueError on
+    the closed route, degenerate or not.
     """
     y, alpha = _check_inputs(model, v, spec, y, mode)
-    if path not in ("closed_form", "generic"):
+    if path == "closed_form":
+        forms = _rational_forms(spec.phi.name, spec.b, model.m_dim)
+    elif path != "generic":
         raise ValueError(f"path must be 'closed_form' or 'generic', got {path!r}")
     if v.c == 0.0:
         return 0.0
@@ -429,7 +432,6 @@ def s_curvature(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
         _guard(delta, s, "Delta = 0")
         return phi_big / (2.0 * alpha * delta**2) * (bvy_y + alpha * q * bvy_v)
     family = spec.phi.name
-    forms = _rational_forms(family, spec.b, model.m_dim)
     q = _horner(forms.N, s) / _guard(_horner(forms.D, s), s, f"pole of Q ({family})")
     dn = _guard(_horner(forms.DN, s), s, "Delta = 0")
     w = _horner(forms.PN, s) / (2.0 * dn**2)
@@ -723,10 +725,10 @@ def mean_berwald(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
     """
     y, alpha = _check_inputs(model, v, spec, y, mode)
     n = model.m_dim
+    if path == "closed_form":                   # exact zeros at v = 0, as [v, .]_m = 0
+        return _mean_berwald_closed(model, v, spec, y, alpha)
     if v.c == 0.0:
         return np.zeros((n, n))
-    if path == "closed_form":
-        return _mean_berwald_closed(model, v, spec, y, alpha)
     if path == "finite_difference":
         if not model._brackets[-1].any():
             return np.zeros((n, n))

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_model, similitude, space_cases, space_of
+from conftest import make_model, nilpotent, similitude, solvable, space_cases, space_of
 
 from homfinsler import (
     InvariantVector,
     StructureConstants,
     bracket_m,
+    build_model,
     catalog_get,
     catalog_names,
     christoffel_origin,
@@ -19,6 +20,7 @@ from homfinsler import (
     s0_r00,
     validate_model,
 )
+from homfinsler import algebra
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +67,78 @@ class TestStructureConstants:
         assert sc.jacobi_residual() >= 1.0
 
 
+def einsum_jacobi(st):
+    """jacobi_residual by the original dense einsum over dim_g^4 entries."""
+    c = st.tensor
+    t = np.einsum("abm,mcl->abcl", c, c)
+    cyc = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
+    return float(np.max(np.abs(cyc), initial=0.0))
+
+
+def _perturbed(st, seed):
+    """st with one structure constant and its mirror moved by 0.25."""
+    rng = np.random.default_rng(seed)
+    i, j = sorted(rng.choice(st.dim_g, size=2, replace=False))
+    k = int(rng.integers(st.dim_g))
+    t = st.tensor.copy()
+    t[i, j, k] += 0.25
+    t[j, i, k] -= 0.25
+    return StructureConstants(dim_g=st.dim_g, tensor=t)
+
+
+def _jacobi_cases():
+    makers = {f"catalog:{name}": lambda name=name: catalog_get(name).model.structure
+              for name in catalog_names()}
+    generated = {
+        "similitude3": lambda: similitude(2, 0.7),
+        "similitude16": lambda: similitude(5, 1.3),       # dim_g 16 and 22: several blocks
+        "similitude22": lambda: similitude(6, 0.9),
+        "solvable7": lambda: solvable(7, 2),
+        "solvable16": lambda: solvable(16, 3),
+        "nilpotent7": lambda: nilpotent(4, 3, 5),
+        "nilpotent16": lambda: nilpotent(10, 6, 6),
+    }
+    for name, make in generated.items():
+        makers[name] = lambda make=make: make()[0].structure
+        makers[f"{name}_twin"] = lambda make=make, seed=len(makers): _perturbed(
+            make()[0].structure, seed)
+    makers["similitude16_twin_conftest"] = lambda: similitude(5, 1.3, twin=True)[0].structure
+    rng = np.random.default_rng(8)
+    for dim in (3, 16, 22):
+        # strict=False keeps conflicting mirrors and diagonal entries
+        entries = {(int(i), int(j), int(k)): float(rng.standard_normal())
+                   for i, j, k in rng.integers(dim, size=(4 * dim, 3))}
+        makers[f"not_antisymmetric{dim}"] = lambda dim=dim, entries=entries: (
+            StructureConstants.from_entries(dim, entries, strict=False))
+    return [pytest.param(make, id=name) for name, make in makers.items()]
+
+
+class TestJacobiAgainstEinsum:
+    @pytest.mark.parametrize("make", _jacobi_cases())
+    def test_matches_the_einsum(self, make):
+        st = make()
+        ref = einsum_jacobi(st)
+        # exactly 0 where the einsum gives 0, else within 1e-12 relative
+        assert abs(st.jacobi_residual() - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("dim,l", [(8, 0), (8, 7), (16, 0), (16, 9), (16, 15), (22, 0),
+                                       (22, 13), (22, 21)])
+    def test_a_defect_in_one_component_is_found(self, dim, l):
+        # [e1, e2] = e3 and [e3, e4] = e_l: [[e1, e2], e4] = e_l is the only
+        # defect, so every block of components must be searched
+        st = StructureConstants.from_entries(dim, {(1, 2, 3): 1.0, (3, 4, l): 1.0})
+        assert einsum_jacobi(st) == st.jacobi_residual() == 1.0
+
+    def test_cases_cover_both_outcomes(self):
+        structures = {p.id: p.values[0]() for p in _jacobi_cases()}
+        refs = {name: einsum_jacobi(st) for name, st in structures.items()}
+        for name in ("catalog:su2_like", "similitude22", "solvable16", "nilpotent16"):
+            assert refs[name] == 0.0
+        assert min(r for name, r in refs.items() if "twin" in name) > 1e-3
+        assert min(st.antisymmetry_residual() for name, st in structures.items()
+                   if name.startswith("not_antisymmetric")) > 0.0
+
+
 # ---------------------------------------------------------------------------
 # frame construction
 # ---------------------------------------------------------------------------
@@ -90,6 +164,109 @@ class TestFrame:
     def test_zero_v_unseeded(self):
         frame = orthonormal_frame(np.eye(3), np.zeros(3))
         assert np.max(np.abs(frame @ frame.T - np.eye(3))) < 1e-14
+
+    def test_ties_go_to_the_first_candidate(self):
+        assert np.array_equal(orthonormal_frame(np.eye(5)), np.eye(5))
+
+
+def loop_frame(inner_product, v=None, tol=1e-12):
+    """orthonormal_frame by the original per-candidate loop, with its pivots.
+
+    The frame and the identity-column index of each accepted candidate.
+    """
+    g = np.asarray(inner_product, dtype=float)
+    n = g.shape[0]
+
+    def norm(x):
+        return float(np.sqrt(max(x @ g @ x, 0.0)))
+
+    accepted = []
+    seeded = False
+    if v is not None:
+        v = np.asarray(v, dtype=float)
+        c = norm(v)
+        if c > 0.0:
+            accepted.append(v / c)
+            seeded = True
+
+    candidates = [(i, np.eye(n)[i].copy()) for i in range(n)]
+    for u in accepted:
+        for _, cand in candidates:
+            cand -= (cand @ g @ u) * u
+
+    pivots = []
+    while len(accepted) < n and candidates:
+        norms = [norm(cand) for _, cand in candidates]
+        j = int(np.argmax(norms))
+        if norms[j] <= tol:
+            break
+        i, cand = candidates.pop(j)
+        u = cand / norms[j]
+        accepted.append(u)
+        pivots.append(i)
+        for _, cand in candidates:
+            cand -= (cand @ g @ u) * u
+    if len(accepted) < n:
+        raise ValueError("could not complete an orthonormal frame (inner product degenerate?)")
+
+    rows = accepted[1:] + [accepted[0]] if seeded else accepted
+    return np.array(rows), pivots
+
+
+class TestFrameAgainstLoop:
+    def test_random_spd_same_pivots_and_frame(self):
+        rng = np.random.default_rng(11)
+        for k in range(300):
+            n = int(rng.integers(2, 17))
+            a = rng.standard_normal((n, n)) / np.sqrt(n)
+            g = a @ a.T + 0.5 * np.eye(n)
+            v = (None, np.zeros(n), rng.standard_normal(n))[k % 3]
+            ref, pivots = loop_frame(g, v)
+            frame = orthonormal_frame(g, v)
+            # another pivot anywhere would move whole rows by O(1)
+            assert np.max(np.abs(frame - ref)) <= 1e-14 * np.max(np.abs(ref))
+            if v is None or not v.any():
+                # unseeded, row r lies in the span of the first r + 1 pivot columns
+                for r in range(n):
+                    assert not frame[r, pivots[r + 1:]].any()
+
+    def test_catalog_frames_are_the_loop_frames(self):
+        for name in catalog_names():
+            entry = catalog_get(name)
+            ref, _ = loop_frame(entry.model.inner_product, entry.v.coords)
+            assert np.array_equal(entry.model.frame, ref)
+
+    @pytest.mark.parametrize("g", [
+        np.diag([1.0, 0.0, 2.0]),
+        np.zeros((2, 2)),
+        np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    ], ids=["zero_direction", "zero", "rank_two"])
+    def test_degenerate_inner_product_raises(self, g):
+        for v in (None, np.eye(len(g))[-1]):
+            with pytest.raises(ValueError, match="degenerate"):
+                loop_frame(g, v)
+            with pytest.raises(ValueError, match="degenerate"):
+                orthonormal_frame(g, v)
+
+
+class TestBuildModelInputs:
+    ST = StructureConstants.from_entries(3, {(0, 1, 2): 1.0})
+
+    @pytest.mark.parametrize("inner,v,match", [
+        (np.eye(3), [np.nan, 0.0, 0.0], "v_coords must be finite"),
+        (np.eye(3), [0.0, np.inf, 0.5], "v_coords must be finite"),
+        (np.eye(3), [0.5, 0.0], "v_coords must have 3 components"),
+        (np.eye(3), np.zeros((3, 1)), "v_coords must have 3 components"),
+        (np.diag([1.0, np.nan, 1.0]), [0.5, 0.0, 0.0], "inner_product must be finite"),
+        (np.full((3, 3), np.inf), None, "inner_product must be finite"),
+        (np.eye(2), [0.5, 0.0, 0.0], "inner_product must be 3 x 3"),
+    ])
+    def test_rejected_before_the_frame(self, inner, v, match, monkeypatch):
+        def no_frame(*args, **kwargs):
+            raise AssertionError("frame built")
+        monkeypatch.setattr(algebra, "orthonormal_frame", no_frame)
+        with pytest.raises(ValueError, match=match):
+            build_model(self.ST, 0, inner, v)
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,20 @@ class TestSpaceConfig:
         assert code == 2
         assert match in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,match", [
+        ("v", [float("nan"), 0.0], "v_coords must be finite"),
+        ("v", [0.0, float("inf")], "v_coords must be finite"),
+        ("inner_product", [1.0, 0.0, 0.0, float("nan")], "inner_product must be finite"),
+    ])
+    @pytest.mark.parametrize("command", ["s-curv", "validate"])
+    def test_non_finite_inputs_exit_2(self, tmp_path, capsys, key, value, match, command):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(SOLVABLE_JSON, **{key: value})))   # NaN, Infinity literals
+        extra = ["--y", "1,0.3"] if command == "s-curv" else []
+        code, _ = run([command, "--space", str(path), *extra])
+        assert code == 2
+        assert match in capsys.readouterr().err
+
     def test_unreadable_and_invalid_json(self, tmp_path, capsys):
         code, _ = run(["validate", "--space", str(tmp_path / "missing.json"),
                        "--metric", "randers"])

@@ -256,6 +256,25 @@ class TestSCurvature:
         # generic path still works
         s_curvature(e.model, e.v, spec, [1.0, 0.5], path="generic")
 
+    @pytest.mark.parametrize("name", ["abelian3", "heisenberg_central_v", "solvable2", "v=0"])
+    def test_closed_family_checked_before_degeneration(self, name):
+        # [v, .]_m = 0 (abelian3, heisenberg_central_v) and v = 0 raise like a
+        # regular space: scalar S, block S and closed E all refuse Randers
+        if name == "v=0":
+            st = StructureConstants.from_entries(3, {(0, 1, 2): 1.0})
+            model, v = build_model(st, 0, np.eye(3), np.zeros(3))
+        else:
+            model, v = catalog_get(name).model, catalog_get(name).v
+        spec = MetricSpec.for_vector(phi_family("randers"), v)
+        y = np.ones(model.m_dim)
+        for call in (lambda: s_curvature(model, v, spec, y, path="closed_form"),
+                     lambda: _s_rows(model, v, spec, y[None, :], "closed_form"),
+                     lambda: mean_berwald(model, v, spec, y, path="closed_form")):
+            with pytest.raises(ValueError, match="no closed-form coefficients for family 'randers'"):
+                call()
+        s_gen = s_curvature(model, v, spec, y, path="generic")
+        assert (s_gen == 0.0) == (name != "solvable2")
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_three_paths_agree(self, entry, family, rng):
         spec = spec_for(entry, family)
