@@ -23,8 +23,9 @@ print()
 print("Both factors across profiles (b = 0.5, n = 3):")
 print(f"{'family':<16s} {'f_bh':>14s} {'f_ht':>14s}")
 for family in ("randers", "exponential", "matsumoto"):
-    rec = hf.volume_coefficients(hf.phi_family(family), 0.5, 3)
-    print(f"{family:<16s} {rec.f_bh:>14.9f} {rec.f_ht:>14.9f}")
+    f_bh, f_ht = (hf.volume_coefficient(hf.phi_family(family), 0.5, 3, form)
+                  for form in ("bh", "ht"))
+    print(f"{family:<16s} {f_bh:>14.9f} {f_ht:>14.9f}")
 print()
 
 # The infinite-series profile has phi(0) = 0, which makes the BH integrand

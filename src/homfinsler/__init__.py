@@ -19,21 +19,18 @@ from .algebra import (
     christoffel_origin,
     orthonormal_frame,
     origin_tensors,
-    s0_r00,
     validate_model,
 )
 from .catalog import CatalogEntry, get as catalog_get, names as catalog_names
 from .curvature import (
     BerwaldWorkspace,
     CoefficientBundle,
-    CurvatureSample,
     IsotropyReport,
     TranscriptionAudit,
     berwald_workspace,
     coefficients_exponential,
     coefficients_generic,
     coefficients_infinite_series,
-    curvature_sample,
     isotropy_test,
     mean_berwald,
     s_curvature,
@@ -50,7 +47,7 @@ from .errors import (
     ValidatedModeError,
 )
 from .metrics import MetricSpec, PhiFamily, ShenReport, finsler_norm, phi_family, shen_check
-from .volume import VolumeCoefficients, t_function, volume_coefficient, volume_coefficients
+from .volume import t_function, volume_coefficient
 
 __version__ = "0.1.0"
 
@@ -60,7 +57,6 @@ __all__ = [
     "CheckResult",
     "CoefficientBundle",
     "ConfigError",
-    "CurvatureSample",
     "DomainError",
     "FinslerError",
     "InvariantVector",
@@ -76,7 +72,6 @@ __all__ = [
     "TranscriptionAudit",
     "ValidatedModeError",
     "ValidationReport",
-    "VolumeCoefficients",
     "berwald_workspace",
     "bracket_m",
     "build_model",
@@ -86,14 +81,12 @@ __all__ = [
     "coefficients_exponential",
     "coefficients_generic",
     "coefficients_infinite_series",
-    "curvature_sample",
     "finsler_norm",
     "isotropy_test",
     "mean_berwald",
     "orthonormal_frame",
     "origin_tensors",
     "phi_family",
-    "s0_r00",
     "s_curvature",
     "s_curvature_via_tensors",
     "shen_check",
@@ -102,5 +95,4 @@ __all__ = [
     "unit_directions",
     "validate_model",
     "volume_coefficient",
-    "volume_coefficients",
 ]

@@ -36,7 +36,6 @@ __all__ = [
     "bracket_m",
     "christoffel_origin",
     "origin_tensors",
-    "s0_r00",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -195,15 +194,16 @@ class ReductiveModel:
         g = np.asarray(self.inner_product, dtype=float)
         if g.shape != (self.m_dim, self.m_dim):
             raise ValueError("inner_product must be m_dim x m_dim")
-        if np.max(np.abs(g - g.T), initial=0.0) > DEFAULT_TOL:
+        # written as not (x <= tol), so that a NaN entry is refused
+        if not np.max(np.abs(g - g.T), initial=0.0) <= DEFAULT_TOL:
             raise ValueError("inner_product must be symmetric")
-        if np.min(np.linalg.eigvalsh(g)) <= DEFAULT_TOL:
+        if not np.min(np.linalg.eigvalsh(g)) > DEFAULT_TOL:
             raise ValueError("inner_product must be positive-definite")
         f = np.asarray(self.frame, dtype=float)
         if f.shape != (self.m_dim, self.m_dim):
             raise ValueError("frame must be m_dim x m_dim")
         gram = f @ g @ f.T
-        if np.max(np.abs(gram - np.eye(self.m_dim))) > 1e-10:
+        if not np.max(np.abs(gram - np.eye(self.m_dim))) <= 1e-10:
             raise ValueError("frame is not orthonormal for the inner product")
         object.__setattr__(self, "inner_product", _readonly(g))
         object.__setattr__(self, "frame", _readonly(f))
@@ -418,16 +418,3 @@ def origin_tensors(model: ReductiveModel, v: InvariantVector) -> OriginTensors:
         return OriginTensors(gamma=gamma, r=np.zeros((n, n)), s=np.zeros((n, n)))
     return OriginTensors(gamma=gamma, r=v.c * r1, s=v.c * s1)
 
-
-def s0_r00(model: ReductiveModel, v: InvariantVector, y) -> tuple[float, float]:
-    """The two bracket contractions entering the curvature scalar.
-
-    Returns (s_0, r_00) with s_0 = (1/2) <[v, y]_m, v> (linear in y) and
-    r_00 = -<[v, y]_m, y> (quadratic in y); y is in frame coordinates.
-    """
-    y = np.asarray(y, dtype=float)
-    if v.c == 0.0:
-        return 0.0, 0.0
-    vf = v.frame_coords(model)
-    br = bracket_m(model, vf, y)
-    return 0.5 * float(br @ vf), -float(br @ y)

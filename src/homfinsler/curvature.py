@@ -39,13 +39,17 @@ directions Y (N x n) is then one matmul plus elementwise arithmetic in s:
 ``_s_rows`` evaluates the generic or closed S for every row at once, each
 scalar guard becoming a per-row locus flag.  The finite-difference Hessian,
 ``isotropy_test`` and the CLI ``scan`` use it; single-vector calls keep the
-scalar path.
+scalar path.  Both paths call the same formulas (``_quotient_coefficients``,
+``_generic_s``, ``_closed_s``), once on floats and once on arrays.  Every
+integer power in them, and in the built-in profiles, is a product, and a
+product or quotient rounds alike on a float and on an array entry, so each
+row equals the scalar S bit for bit; for the exponential profile the kernel
+takes libm's exp once per row, as the scalar route does.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import sys
 from collections import namedtuple
@@ -61,12 +65,11 @@ from .algebra import (
     validate_model,
 )
 from .errors import DomainError, FinslerError, SingularityError, ValidatedModeError
-from .metrics import MetricSpec, PhiFamily, _phi_at
+from .metrics import MetricSpec, PhiFamily
 
 __all__ = [
     "CoefficientBundle",
     "BerwaldWorkspace",
-    "CurvatureSample",
     "IsotropyReport",
     "TranscriptionAudit",
     "coefficients_generic",
@@ -76,7 +79,6 @@ __all__ = [
     "s_curvature_via_tensors",
     "berwald_workspace",
     "mean_berwald",
-    "curvature_sample",
     "isotropy_test",
     "transcription_audit",
     "unit_directions",
@@ -142,13 +144,36 @@ def _generic_coefficients(phi: PhiFamily, s: float, b: float, n: int) -> tuple:
     d = p - s * p1
     if abs(d) < _SING_TOL * max(1.0, abs(p), abs(s * p1)):
         raise SingularityError(f"phi - s*phi' = 0 at s = {s:.6g} ({phi.name})")
+    return _quotient_coefficients(p, p1, p2, p3, d, s, b, n)
+
+
+def _quotient_coefficients(p, p1, p2, p3, d, s, b, n) -> tuple:
+    """(Q, Q', Q'', Delta, Phi) from phi and its first three derivatives, d = phi - s phi'.
+
+    Floats or arrays alike; the caller guards d (and a pole of phi) first.
+    """
     q = p1 / d
-    qp = p * p2 / d**2
-    qpp = ((p1 * p2 + p * p3) * d + 2.0 * s * p * p2**2) / d**3
+    qp = p * p2 / (d * d)
+    qpp = ((p1 * p2 + p * p3) * d + 2.0 * s * p * (p2 * p2)) / (d * d * d)
     delta = 1.0 + s * q + (b * b - s * s) * qp
     phi_big = (-(q - s * qp) * (n * delta + 1.0 + s * q)
                - (b * b - s * s) * (1.0 + s * q) * qpp)
     return q, qp, qpp, delta, phi_big
+
+
+def _generic_s(q, delta, phi_big, alpha, bvy_y, bvy_v):
+    """S = Phi / (2 alpha Delta^2) (<[v,y]_m, y> + alpha Q <[v,y]_m, v>); floats or arrays."""
+    return phi_big / (2.0 * alpha * (delta * delta)) * (bvy_y + alpha * q * bvy_v)
+
+
+def _closed_s(num, den, dn, pn, alpha, bvy_y, bvy_v):
+    """S = W/alpha <[v,y]_m, y> + W Q <[v,y]_m, v> from the values of N, D, DN and PN.
+
+    Q = N/D and W = PN/(2 DN^2); floats or arrays, the caller guards D and DN.
+    """
+    q = num / den
+    w = pn / (2.0 * (dn * dn))
+    return w / alpha * bvy_y + w * q * bvy_v
 
 
 def _horner(c, s):
@@ -206,24 +231,23 @@ def _rational_forms(family: str, b: float, n: int) -> _RationalForms:
     return _RationalForms(*(tuple(map(float, c)) for c in polys))
 
 
-def _closed_coefficients(family: str, s: float, b: float, n: int) -> CoefficientBundle:
+def _closed_coefficients(family: str, s: float, b: float, n: int) -> tuple:
+    """(Q, Q', Q'', Delta, Phi) from the closed forms; a pole of Q raises."""
     forms = _rational_forms(family, b, n)
     d = _guard(_horner(forms.D, s), s, f"pole of Q ({family})")
-    return CoefficientBundle(s=s, b=b, n=n, Q=_horner(forms.N, s) / d,
-                             Qp=_horner(forms.A, s) / d**2,
-                             Qpp=_horner(forms.B, s) / d**3,
-                             Delta=_horner(forms.DN, s) / d**2,
-                             Phi=_horner(forms.PN, s) / d**4)
+    return (_horner(forms.N, s) / d, _horner(forms.A, s) / (d * d),
+            _horner(forms.B, s) / (d * d * d), _horner(forms.DN, s) / (d * d),
+            _horner(forms.PN, s) / (d * d * d * d))
 
 
 def coefficients_infinite_series(s: float, b: float, n: int) -> CoefficientBundle:
     """Closed coefficients for phi(s) = s^2/(s-1); singular at s = 0."""
-    return _closed_coefficients("infinite_series", s, b, n)
+    return CoefficientBundle(s, b, n, *_closed_coefficients("infinite_series", s, b, n))
 
 
 def coefficients_exponential(s: float, b: float, n: int) -> CoefficientBundle:
     """Closed coefficients for phi(s) = exp(s); singular at s = 1."""
-    return _closed_coefficients("exponential", s, b, n)
+    return CoefficientBundle(s, b, n, *_closed_coefficients("exponential", s, b, n))
 
 
 def _factor_derivs(family: str, s: float, b: float, n: int):
@@ -234,13 +258,13 @@ def _factor_derivs(family: str, s: float, b: float, n: int):
     against the pre-expanded polynomial tables.
     """
     forms = _rational_forms(family, b, n)
-    num, num1, num2 = (_horner(c, s) for c in (forms.PN, forms.PN1, forms.PN2))
-    den, den1, den2 = (_horner(c, s) for c in (forms.DN, forms.DN1, forms.DN2))
+    num, num1, num2 = _horner(forms.PN, s), _horner(forms.PN1, s), _horner(forms.PN2, s)
+    den, den1, den2 = _horner(forms.DN, s), _horner(forms.DN1, s), _horner(forms.DN2, s)
     _guard(den, s, "Delta = 0")
-    w = num / (2.0 * den**2)
-    dw = (num1 * den - 2.0 * num * den1) / (2.0 * den**3)
-    d2w = (num2 * den**2 - 4.0 * num1 * den * den1
-           - 2.0 * num * den * den2 + 6.0 * num * den1**2) / (2.0 * den**4)
+    w = num / (2.0 * (den * den))
+    dw = (num1 * den - 2.0 * num * den1) / (2.0 * (den * den * den))
+    d2w = (num2 * (den * den) - 4.0 * num1 * den * den1
+           - 2.0 * num * den * den2 + 6.0 * num * (den1 * den1)) / (2.0 * (den * den * den * den))
     return w, dw, d2w
 
 
@@ -430,12 +454,10 @@ def s_curvature(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
     if path == "generic":
         q, _, _, delta, phi_big = _generic_coefficients(spec.phi, s, spec.b, model.m_dim)
         _guard(delta, s, "Delta = 0")
-        return phi_big / (2.0 * alpha * delta**2) * (bvy_y + alpha * q * bvy_v)
-    family = spec.phi.name
-    q = _horner(forms.N, s) / _guard(_horner(forms.D, s), s, f"pole of Q ({family})")
+        return _generic_s(q, delta, phi_big, alpha, bvy_y, bvy_v)
+    den = _guard(_horner(forms.D, s), s, f"pole of Q ({spec.phi.name})")
     dn = _guard(_horner(forms.DN, s), s, "Delta = 0")
-    w = _horner(forms.PN, s) / (2.0 * dn**2)
-    return w / alpha * bvy_y + w * q * bvy_v
+    return _closed_s(_horner(forms.N, s), den, dn, _horner(forms.PN, s), alpha, bvy_y, bvy_v)
 
 
 # Per-row flags of _s_rows: 0 marks a regular row, the others the locus at
@@ -443,25 +465,6 @@ def s_curvature(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
 _ROW_Y, _ROW_PHI_POLE, _ROW_PHI_D, _ROW_Q_POLE, _ROW_DELTA = 1, 2, 3, 4, 5
 
 _Rows = namedtuple("_Rows", "S flag s phi")
-
-
-# The two helpers below keep each row of a block bit-identical to the scalar
-# call: numpy's array power rounds differently from Python's float ``**`` in
-# a few per cent of entries (also inside the profile evaluators, such as
-# (s - 1)**3), which near Delta = 0 moved S by up to 2e-14 relative.
-
-def _phi_rows(f, s: np.ndarray) -> np.ndarray:
-    """The scalar evaluator f at every entry of s; a pole (ZeroDivisionError) reads nan."""
-    ts = s.tolist()
-    try:
-        return np.fromiter(map(f, ts), float, len(ts))
-    except ZeroDivisionError:
-        return np.fromiter((_phi_at(f, t) for t in ts), float, len(ts))
-
-
-def _pow_rows(x: np.ndarray, k: int) -> np.ndarray:
-    """x**k entry by entry, rounded as the scalar route rounds it."""
-    return np.fromiter(map(pow, x.tolist(), itertools.repeat(k)), float, len(x))
 
 
 def _s_rows(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, Y,
@@ -496,16 +499,14 @@ def _s_rows(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, Y,
         s = c * Y[:, -1] / alpha
         if path == "generic":
             phi = spec.phi
-            p, p1, p2, p3 = (_phi_rows(f, s) for f in (phi.phi, phi.dphi, phi.d2phi, phi.d3phi))
+            if phi.name == "exponential":       # libm's exp, as on the scalar route
+                p = p1 = p2 = p3 = np.fromiter(map(math.exp, s.tolist()), float, len(s))
+            else:
+                p, p1, p2, p3 = (np.broadcast_to(f(s), s.shape)
+                                 for f in (phi.phi, phi.dphi, phi.d2phi, phi.d3phi))
             d = p - s * p1
-            q = p1 / d
-            qp = p * p2 / _pow_rows(d, 2)
-            qpp = ((p1 * p2 + p * p3) * d + 2.0 * s * p * _pow_rows(p2, 2)) / _pow_rows(d, 3)
-            delta = 1.0 + s * q + (b * b - s * s) * qp
-            phi_big = (-(q - s * qp) * (n * delta + 1.0 + s * q)
-                       - (b * b - s * s) * (1.0 + s * q) * qpp)
-            out = (phi_big / (2.0 * alpha * _pow_rows(delta, 2))
-                   * (bvy_y + alpha * q * bvy_v))
+            q, _, _, delta, phi_big = _quotient_coefficients(p, p1, p2, p3, d, s, b, n)
+            out = _generic_s(q, delta, phi_big, alpha, bvy_y, bvy_v)
             pole = ~(np.isfinite(p) & np.isfinite(p1) & np.isfinite(p2) & np.isfinite(p3))
             d_scale = np.maximum(np.maximum(np.abs(p), np.abs(s * p1)), 1.0)
             # the scalar checks run in the reverse order; a later mask wins
@@ -517,9 +518,8 @@ def _s_rows(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, Y,
             forms = _rational_forms(spec.phi.name, b, n)
             den = _horner(forms.D, s)
             dn = _horner(forms.DN, s)
-            q = _horner(forms.N, s) / den
-            w = _horner(forms.PN, s) / (2.0 * _pow_rows(dn, 2))
-            out = w / alpha * bvy_y + w * q * bvy_v
+            out = _closed_s(_horner(forms.N, s), den, dn, _horner(forms.PN, s),
+                            alpha, bvy_y, bvy_v)
             loci = ((np.abs(dn) < _SING_TOL, _ROW_DELTA),
                     (np.abs(den) < _SING_TOL, _ROW_Q_POLE))
     flag = np.zeros(len(Y), dtype=np.int8)
@@ -549,7 +549,8 @@ def s_curvature_via_tensors(model: ReductiveModel, v: InvariantVector,
     """S(H, y) assembled from the contracted origin tensors.
 
     Uses S = -Phi/(2 alpha Delta^2) (r_00 - 2 alpha Q s_0) with
-    r_00 = r_ij y^i y^j and s_0 = c s_ni y^i; must agree with
+    r_00 = r_ij y^i y^j and s_0 = c s_ni y^i, that is the generic assembly
+    with <[v,y]_m, y> = -r_00 and <[v,y]_m, v> = 2 s_0; must agree with
     ``s_curvature`` to rounding.
     """
     y, alpha = _check_inputs(model, v, spec, y, mode)
@@ -563,7 +564,7 @@ def s_curvature_via_tensors(model: ReductiveModel, v: InvariantVector,
     s = v.c * float(y[-1]) / alpha
     q, _, _, delta, phi_big = _generic_coefficients(spec.phi, s, spec.b, model.m_dim)
     _guard(delta, s, "Delta = 0")
-    return -phi_big / (2.0 * alpha * delta**2) * (r00 - 2.0 * alpha * q * s0)
+    return _generic_s(q, delta, phi_big, alpha, -r00, 2.0 * s0)
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +595,10 @@ def _s_derivs(c: float, y: np.ndarray, alpha: float):
     s = c * float(y[-1]) / alpha
     b_vec = np.zeros(len(y))
     b_vec[-1] = c
-    s_y = (b_vec * alpha - s * y) / alpha**2
+    s_y = (b_vec * alpha - s * y) / (alpha * alpha)
     s_yy = (-(np.outer(b_vec, y) + np.outer(y, b_vec)) * alpha
-            + 3.0 * s * np.outer(y, y) - alpha**2 * s * np.eye(len(y))) / alpha**4
+            + 3.0 * s * np.outer(y, y) - alpha * alpha * s * np.eye(len(y))
+            ) / (alpha * alpha * alpha * alpha)
     return s, s_y, s_yy
 
 
@@ -629,15 +631,14 @@ def _mean_berwald_closed(model, v, spec, y, alpha) -> np.ndarray:
     with the entries below.  E = (H + H^T) / (4 |y|) is exactly symmetric.
     """
     n, family, c = model.m_dim, spec.phi.name, v.c
-    forms = _rational_forms(family, spec.b, n)      # ValueError without a closed form
+    _rational_forms(family, spec.b, n)              # ValueError without a closed form
     pt = c * model._brackets[-1]
     if not pt.any():                                # [v, .]_m = 0: E = 0 at every s
         return np.zeros((n, n))
     y = y / alpha
     s = c * float(y[-1])
     f0, f1, f2 = _factor_derivs(family, s, spec.b, n)
-    d = _guard(_horner(forms.D, s), s, f"pole of Q ({family})")
-    q, qp, qpp = _horner(forms.N, s) / d, _horner(forms.A, s) / d**2, _horner(forms.B, s) / d**3
+    q, qp, qpp, _, _ = _closed_coefficients(family, s, spec.b, n)
     h1 = f1 * q + f0 * qp
     h2 = f2 * q + 2.0 * f1 * qp + f0 * qpp
     yp = y @ pt                                     # [v, y]_m
@@ -681,11 +682,11 @@ def _stencil_hessian(vals: list, n: int, hh: float) -> np.ndarray:
     out = np.empty((n, n))
     s0, k = vals[0], 1
     for i in range(n):
-        out[i, i] = (vals[k] - 2.0 * s0 + vals[k + 1]) / hh**2
+        out[i, i] = (vals[k] - 2.0 * s0 + vals[k + 1]) / (hh * hh)
         k += 2
         for j in range(i + 1, n):
             out[i, j] = out[j, i] = (vals[k] - vals[k + 1] - vals[k + 2]
-                                     + vals[k + 3]) / (4.0 * hh**2)
+                                     + vals[k + 3]) / (4.0 * (hh * hh))
             k += 4
     return out
 
@@ -736,37 +737,6 @@ def mean_berwald(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
         return _mean_berwald_fd(model, v, spec, y / alpha, h) / alpha
     raise ValueError(
         f"path must be 'closed_form' or 'finite_difference', got {path!r}")
-
-
-@dataclass(frozen=True)
-class CurvatureSample:
-    """S and E at one tangent vector, tagged with the evaluation route."""
-
-    y: np.ndarray = field(repr=False)
-    S: float = 0.0
-    E: np.ndarray = field(default=None, repr=False)
-    path: str = "closed_form"
-
-
-def curvature_sample(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
-                     y, path: str = "closed_form", mode: str = "formal") -> CurvatureSample:
-    """Bundle S and E computed along one route.
-
-    "closed_form" pairs the closed S with the closed E; "generic" and
-    "finite_difference" pair the generic S with the finite-difference E.
-    """
-    y = np.asarray(y, dtype=float)
-    if path == "closed_form":
-        s_val = s_curvature(model, v, spec, y, path="closed_form", mode=mode)
-        e_val = mean_berwald(model, v, spec, y, path="closed_form", mode=mode)
-        tag = "closed_form"
-    elif path in ("generic", "finite_difference"):
-        s_val = s_curvature(model, v, spec, y, path="generic", mode=mode)
-        e_val = mean_berwald(model, v, spec, y, path="finite_difference", mode=mode)
-        tag = "finite_difference" if path == "finite_difference" else "generic"
-    else:
-        raise ValueError(f"unknown sample path {path!r}")
-    return CurvatureSample(y=y, S=s_val, E=e_val, path=tag)
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,15 @@ the profile phi together with its first three derivatives, which is all the
 curvature formulas ever need.
 
 Every evaluator takes either a float or a float64 ndarray of s values.  On
-a float (``np.float64`` included) it returns a float, computed exactly as a
-plain scalar formula would; on an array it returns the values entry-wise,
-as an array or, for a constant derivative, as a float that broadcasts
-against s.  Array values agree with the scalar ones to a few ulp (numpy's
-exp and integer powers round independently of libm's), and a pole reads as
-inf or nan, where the scalar call may raise ZeroDivisionError.  The volume
-quadrature and ``shen_check`` evaluate whole point sets in one call; the
-per-direction curvature routes stay on floats.
+a float (``np.float64`` included) it returns a float; on an array it returns
+the values entry-wise, as an array or, for a constant derivative, as a float
+that broadcasts against s.  Integer powers are written as products, whose
+every step is one correctly rounded IEEE operation on a float and on an
+array alike, so an array gives the scalar bits for every profile except the
+exponential (numpy's exp rounds independently of libm's).  A pole reads as
+inf or nan on an array, where the scalar call may raise ZeroDivisionError.
+The volume quadrature, ``shen_check`` and the batch curvature kernel
+evaluate whole point sets in one call.
 
 Built-in profiles:
 
@@ -88,9 +89,9 @@ class PhiFamily:
         return cls(
             name="kropina",
             phi=lambda s: 1.0 / s,
-            dphi=lambda s: -1.0 / s**2,
-            d2phi=lambda s: 2.0 / s**3,
-            d3phi=lambda s: -6.0 / s**4,
+            dphi=lambda s: -1.0 / (s * s),
+            d2phi=lambda s: 2.0 / (s * s * s),
+            d3phi=lambda s: -6.0 / (s * s * s * s),
             in_domain=lambda s: s > 0.0,
             domain_desc="s in (0, inf)",
         )
@@ -101,9 +102,9 @@ class PhiFamily:
         return cls(
             name="matsumoto",
             phi=lambda s: 1.0 / (1.0 - s),
-            dphi=lambda s: 1.0 / (1.0 - s) ** 2,
-            d2phi=lambda s: 2.0 / (1.0 - s) ** 3,
-            d3phi=lambda s: 6.0 / (1.0 - s) ** 4,
+            dphi=lambda s: 1.0 / ((1.0 - s) * (1.0 - s)),
+            d2phi=lambda s: 2.0 / ((1.0 - s) * (1.0 - s) * (1.0 - s)),
+            d3phi=lambda s: 6.0 / ((1.0 - s) * (1.0 - s) * (1.0 - s) * (1.0 - s)),
             in_domain=lambda s: s < 1.0 and s != 0.5,
             domain_desc="s in (-inf, 1/2) or (1/2, 1)",
         )
@@ -113,10 +114,10 @@ class PhiFamily:
         # phi > 0 only for s > 1; phi - s*phi' = s^2/(s-1)^2 vanishes at s = 0
         return cls(
             name="infinite_series",
-            phi=lambda s: s**2 / (s - 1.0),
-            dphi=lambda s: (s**2 - 2.0 * s) / (s - 1.0) ** 2,
-            d2phi=lambda s: 2.0 / (s - 1.0) ** 3,
-            d3phi=lambda s: -6.0 / (s - 1.0) ** 4,
+            phi=lambda s: s * s / (s - 1.0),
+            dphi=lambda s: (s * s - 2.0 * s) / ((s - 1.0) * (s - 1.0)),
+            d2phi=lambda s: 2.0 / ((s - 1.0) * (s - 1.0) * (s - 1.0)),
+            d3phi=lambda s: -6.0 / ((s - 1.0) * (s - 1.0) * (s - 1.0) * (s - 1.0)),
             in_domain=lambda s: s > 1.0,
             domain_desc="s in (1, inf)",
         )

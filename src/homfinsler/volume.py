@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,10 +30,8 @@ from .errors import QuadratureError, ValidatedModeError
 from .metrics import MetricSpec, PhiFamily, shen_check
 
 __all__ = [
-    "VolumeCoefficients",
     "t_function",
     "volume_coefficient",
-    "volume_coefficients",
 ]
 
 _RTOL = 1e-11
@@ -89,30 +86,6 @@ def _gegenbauer_rule(n: int, count: int):
     return x, w
 
 
-@dataclass(frozen=True)
-class VolumeCoefficients:
-    b: float
-    n: int
-    f_bh: float
-    f_ht: float
-    nodes_used: int
-
-
-def volume_coefficient(phi: PhiFamily, b: float, n: int, form: str,
-                       mode: str = "formal", nodes: int = 64) -> float:
-    """Volume rescaling factor f(b) for form "bh" or "ht".
-
-    In validated mode F = alpha*phi(s) must be a Finsler metric for |s| <= b:
-    the call is refused exactly when ``shen_check`` on (phi, b) fails, as in
-    the validated curvature routes.  The formal mode attempts the quadrature
-    regardless.  ``nodes`` is the size of the first rule; QuadratureError is
-    raised when the factor has not settled after four doublings, which is
-    how non-integrable profiles surface.
-    """
-    value, _ = _volume_with_count(phi, b, n, form, mode, nodes)
-    return value
-
-
 def _factor(phi, b, n, form, count):
     x, w = _gegenbauer_rule(n, count)
     s = b * x
@@ -137,7 +110,17 @@ def _factor(phi, b, n, form, count):
         return float(np.sign(integral) * np.exp(math.log(_mu0(n) / abs(integral)) - m))
 
 
-def _volume_with_count(phi, b, n, form, mode, nodes):
+def volume_coefficient(phi: PhiFamily, b: float, n: int, form: str,
+                       mode: str = "formal", nodes: int = 64) -> float:
+    """Volume rescaling factor f(b) for form "bh" or "ht".
+
+    In validated mode F = alpha*phi(s) must be a Finsler metric for |s| <= b:
+    the call is refused exactly when ``shen_check`` on (phi, b) fails, as in
+    the validated curvature routes.  The formal mode attempts the quadrature
+    regardless.  ``nodes`` is the size of the first rule; QuadratureError is
+    raised when the factor has not settled after four doublings, which is
+    how non-integrable profiles surface.
+    """
     if n < 2:
         raise ValueError("dimension n must be >= 2")
     if form not in ("bh", "ht"):
@@ -153,22 +136,13 @@ def _volume_with_count(phi, b, n, form, mode, nodes):
                 f"validated mode: {phi.name} is not positive definite for |s| <= {b:.6g} "
                 f"(positivity criterion min {shen.min_value:.6g} at s = {shen.argmin_s:.6g})")
 
-    count = evals = nodes
+    count = nodes
     cur = _factor(phi, b, n, form, count)
     for _ in range(_MAX_DOUBLINGS):
         prev, count = cur, 2 * count
         cur = _factor(phi, b, n, form, count)
-        evals += count
         if abs(cur - prev) <= _RTOL * abs(cur):
-            return cur, evals
+            return cur
     raise QuadratureError(
         f"{form} factor did not converge for {phi.name} at b = {b:.6g}, n = {n}: "
         f"{prev:.12g} at {count // 2} nodes, {cur:.12g} at {count} nodes")
-
-
-def volume_coefficients(phi: PhiFamily, b: float, n: int, mode: str = "formal",
-                        nodes: int = 64) -> VolumeCoefficients:
-    """Both volume factors in one record."""
-    f_bh, n1 = _volume_with_count(phi, b, n, "bh", mode, nodes)
-    f_ht, n2 = _volume_with_count(phi, b, n, "ht", mode, nodes)
-    return VolumeCoefficients(b=b, n=n, f_bh=f_bh, f_ht=f_ht, nodes_used=n1 + n2)

@@ -5,12 +5,17 @@ criterion on stdout in addition to the pytest verdicts.
 """
 
 import io
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from conftest import FAMILIES, sample_in_domain, spec_for
 
+import homfinsler
 from homfinsler import (
     PhiFamily,
     catalog_get,
@@ -249,3 +254,17 @@ def test_criterion_10_cli_determinism_and_exit_codes(tmp_path, capsys):
     assert (ok, sing, bad_cfg, refused) == (0, 1, 2, 3)
     _report(10, "100-direction scan byte-identical across runs; "
                 "exit codes (0, 1, 2, 3) all conform")
+
+
+def test_readme_python_examples_run():
+    # the README's python blocks, concatenated in order, are one script that
+    # must run with every warning an error
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.M | re.S)
+    assert len(blocks) >= 2
+    src = os.path.dirname(os.path.dirname(homfinsler.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", "".join(blocks)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -17,7 +17,6 @@ from homfinsler import (
     christoffel_origin,
     origin_tensors,
     orthonormal_frame,
-    s0_r00,
     validate_model,
 )
 from homfinsler import algebra
@@ -267,6 +266,19 @@ class TestBuildModelInputs:
         monkeypatch.setattr(algebra, "orthonormal_frame", no_frame)
         with pytest.raises(ValueError, match=match):
             build_model(self.ST, 0, inner, v)
+
+    @pytest.mark.parametrize("field,match", [
+        ("frame", "not orthonormal"),
+        ("inner_product", "must be symmetric"),
+    ])
+    def test_direct_construction_refuses_nan(self, field, match):
+        # build_model checks finiteness itself; a model built or replaced
+        # directly must not let a NaN through its tolerance comparisons
+        model = catalog_get("heisenberg3").model
+        bad = np.array(getattr(model, field))
+        bad[0, 0] = np.nan
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(model, **{field: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +699,16 @@ class TestEquality:
         assert {e: 1}[catalog_get("heisenberg3")] == 1
 
 
+def s0_r00(model, v, y):
+    """s_0 = c s_ni y^i and r_00 = r_ij y^i y^j from origin_tensors, as the tensor route reads them."""
+    y = np.asarray(y, dtype=float)
+    tensors = origin_tensors(model, v)
+    return v.c * float(tensors.s[-1] @ y), float(y @ tensors.r @ y)
+
+
 class TestS0R00:
+    """The two origin_tensors contractions that enter the curvature scalar."""
+
     def test_y_equals_v(self, entry):
         vf = entry.v.frame_coords(entry.model)
         assert s0_r00(entry.model, entry.v, vf) == (0.0, 0.0)

@@ -318,8 +318,7 @@ class TestScan:
             except DomainError:
                 assert np.isnan(got).all()
                 continue
-            for g, x in zip(got, expect):
-                assert abs(g - x) <= 1e-13 * (1.0 + abs(x))
+            assert got == expect
 
     def test_csv_matches_csv_writer(self, monkeypatch):
         # the scan CSV is written from a row template; it must match the

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
+from numpy.polynomial import polynomial as P
 
 from conftest import FAMILIES, sample_in_domain, space_cases, space_of, spec_for
 
@@ -22,7 +23,6 @@ from homfinsler import (
     coefficients_exponential,
     coefficients_generic,
     coefficients_infinite_series,
-    curvature_sample,
     isotropy_test,
     mean_berwald,
     phi_family,
@@ -31,7 +31,13 @@ from homfinsler import (
     transcription_audit,
 )
 from homfinsler import curvature, metrics
-from homfinsler.curvature import _factor_derivs, _row_error, _s_rows, unit_directions
+from homfinsler.curvature import (
+    _factor_derivs,
+    _rational_forms,
+    _row_error,
+    _s_rows,
+    unit_directions,
+)
 
 ALL_FAMILIES = ("randers", "kropina", "matsumoto", "infinite_series", "exponential")
 
@@ -495,7 +501,8 @@ def old_closed_e(model, v, spec, y):
     y = y / alpha
     s, s_y, s_yy = curvature._s_derivs(v.c, y, 1.0)
     w = _factor_derivs(family, s, spec.b, n)
-    c = curvature._closed_coefficients(family, s, spec.b, n)
+    c = {"infinite_series": coefficients_infinite_series,
+         "exponential": coefficients_exponential}[family](s, spec.b, n)
     p = v.c * model._brackets[-1].T
     py = p @ y
     g = float(py @ y)
@@ -616,16 +623,38 @@ def _scalar_or_error(model, v, spec, y, path):
         return None, exc
 
 
+# Beyond the built-ins: a Horner polynomial, and scalar-only callables (with
+# Python powers and a pole at s = 0) that reach arrays entry by entry.
+_KERNEL_PHI = {
+    "polynomial": lambda: PhiFamily.polynomial([1.0, 0.5, 0.25, -0.125]),
+    "custom": lambda: PhiFamily.custom(lambda s: 1.0 + 0.1 / s, lambda s: -0.1 / s**2,
+                                       lambda s: 0.2 / s**3, lambda s: -0.6 / s**4),
+}
+
+
 class TestBlockKernel:
-    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("family", ALL_FAMILIES + tuple(_KERNEL_PHI))
     @pytest.mark.parametrize("name", ["heisenberg3", "solvable2", "su2_like"])
     def test_rows_match_scalar(self, name, family, rng):
         e = catalog_get(name)
         n = e.model.m_dim
-        spec = spec_for(e, family)
+        if family in _KERNEL_PHI:
+            spec = MetricSpec.for_vector(_KERNEL_PHI[family](), e.v)
+        else:
+            spec = spec_for(e, family)
         vf = e.v.frame_coords(e.model)
+        # unit rows with s within 1e-9 of each root of the infinite series'
+        # Delta numerator DN = s^3 - 3 s^2 + 2 b^2 in (-b, b)
+        roots = P.polyroots(_rational_forms("infinite_series", e.v.b, n).DN)
+        near = [r.real + t for r in roots if abs(r.imag) < 1e-12 and abs(r.real) < e.v.b
+                for t in np.linspace(-1e-9, 1e-9, 9)]
+        yn = np.array(near) / e.v.c
+        delta_rows = np.zeros((len(near), n))
+        delta_rows[:, 0], delta_rows[:, -1] = np.sqrt(1.0 - yn * yn), yn
+        assert len(near) == 18
         Y = np.vstack([rng.standard_normal((40, n)) * rng.uniform(0.1, 3.0, (40, 1)),
-                       vf, np.eye(n), np.zeros(n)])        # y = v, s = 0 rows, y = 0
+                       vf, np.eye(n), np.zeros(n),         # y = v, s = 0 rows, y = 0
+                       delta_rows])
         paths = ("closed_form", "generic") if family in FAMILIES else ("generic",)
         for path in paths:
             rows = _s_rows(e.model, e.v, spec, Y, path)
@@ -633,10 +662,10 @@ class TestBlockKernel:
                 ref, exc = _scalar_or_error(e.model, e.v, spec, y, path)
                 if exc is None:
                     assert rows.flag[k] == 0
-                    assert abs(rows.S[k] - ref) <= 1e-13 * (1.0 + abs(ref)), (path, y)
+                    assert rows.S[k] == ref, (path, y)
                 else:
                     assert rows.flag[k] > 0 and np.isnan(rows.S[k])
-                    err = _row_error(rows, k, y, family)
+                    err = _row_error(rows, k, y, spec.phi.name)
                     assert type(err) is type(exc) and str(err) == str(exc), (path, y)
 
     @pytest.mark.parametrize("path,locus", [("generic", "phi - s*phi' = 0"),
@@ -774,24 +803,6 @@ class TestValidatedMode:
         assert metrics.shen_check(spec) is not metrics.shen_check(spec)
         assert metrics.shen_check(spec) == spec._shen
         assert "_shen" not in vars(dataclasses.replace(spec))
-
-
-class TestCurvatureSample:
-    def test_closed_tag(self):
-        e = catalog_get("solvable2")
-        spec = spec_for(e, "exponential")
-        sample = curvature_sample(e.model, e.v, spec, [1.0, 0.3])
-        assert sample.path == "closed_form"
-        assert sample.S == pytest.approx(S_SOLV_EXP, rel=1e-12)
-        assert sample.E.shape == (2, 2)
-
-    def test_oracle_tag(self):
-        e = catalog_get("solvable2")
-        spec = spec_for(e, "exponential")
-        sample = curvature_sample(e.model, e.v, spec, [1.0, 0.3],
-                                  path="finite_difference")
-        assert sample.path == "finite_difference"
-        assert np.max(np.abs(sample.E - E_SOLV_EXP)) <= 1e-5
 
 
 class TestSymbolicOracle:

@@ -206,16 +206,20 @@ class TestShenCheck:
 # the float-or-array evaluator contract
 # ---------------------------------------------------------------------------
 
-# The scalar evaluators as they were defined before they took arrays.
+# The scalar evaluators as plain float formulas, each integer power a
+# product multiplied left to right.
 _SCALAR_REFERENCE = {
     "randers": (lambda s: 1.0 + s, lambda s: 1.0, lambda s: 0.0, lambda s: 0.0),
-    "kropina": (lambda s: 1.0 / s, lambda s: -1.0 / s**2, lambda s: 2.0 / s**3,
-                lambda s: -6.0 / s**4),
-    "matsumoto": (lambda s: 1.0 / (1.0 - s), lambda s: 1.0 / (1.0 - s) ** 2,
-                  lambda s: 2.0 / (1.0 - s) ** 3, lambda s: 6.0 / (1.0 - s) ** 4),
-    "infinite_series": (lambda s: s**2 / (s - 1.0),
-                        lambda s: (s**2 - 2.0 * s) / (s - 1.0) ** 2,
-                        lambda s: 2.0 / (s - 1.0) ** 3, lambda s: -6.0 / (s - 1.0) ** 4),
+    "kropina": (lambda s: 1.0 / s, lambda s: -1.0 / (s * s), lambda s: 2.0 / (s * s * s),
+                lambda s: -6.0 / (s * s * s * s)),
+    "matsumoto": (lambda s: 1.0 / (1.0 - s),
+                  lambda s: 1.0 / ((1.0 - s) * (1.0 - s)),
+                  lambda s: 2.0 / ((1.0 - s) * (1.0 - s) * (1.0 - s)),
+                  lambda s: 6.0 / ((1.0 - s) * (1.0 - s) * (1.0 - s) * (1.0 - s))),
+    "infinite_series": (lambda s: s * s / (s - 1.0),
+                        lambda s: (s * s - 2.0 * s) / ((s - 1.0) * (s - 1.0)),
+                        lambda s: 2.0 / ((s - 1.0) * (s - 1.0) * (s - 1.0)),
+                        lambda s: -6.0 / ((s - 1.0) * (s - 1.0) * (s - 1.0) * (s - 1.0))),
     "exponential": (math.exp,) * 4,
 }
 _POLY = [0.7, -0.3, 0.25, 0.125, -0.05]
@@ -289,10 +293,14 @@ class TestEvaluatorContract:
 
     @pytest.mark.parametrize("fam, reference, points", _contract_cases())
     def test_array_values_within_two_ulp(self, fam, reference, points):
+        # exact for every profile but the exponential, whose arrays take numpy's exp
         for new in _evaluators(fam):
             got = np.broadcast_to(new(points), points.shape)
             want = np.array([new(s) for s in points.tolist()])
-            assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
+            if fam.name == "exponential":
+                assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
+            else:
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("b", [0.0, 0.3, 0.5, 0.9])
     @pytest.mark.parametrize("family", ALL_FAMILIES + ("polynomial",))
