@@ -19,6 +19,17 @@ for family, b in cases:
     print(f"  {family:<16s} b = {b}: {verdict:<6s} "
           f"min = {rep.min_value:+.6f} at s = {rep.argmin_s:+.4f}")
 
+# A dip narrower than the grid spacing: this cubic's criterion is -1e-6 at
+# s = 0.0025 and positive at every point of the 201-point grid.  For an exact
+# profile phi = N/D the criterion is G/D^3, G = N D^2 - s N' D + (b^2 - s^2) N'',
+# so the roots of N, D and G (and the midpoints between them) locate the dip.
+s0, b = 0.0025, 0.5
+c2, c3 = -1.0 / 3.0, -2.0 * s0 / (6.0 * b * b)
+dip = hf.PhiFamily.polynomial([s0 * s0 - 1e-6 - 2.0 * b * b * c2, 0.0, c2, c3])
+rep = hf.shen_check(hf.MetricSpec(dip, b))
+print(f"  {'cubic with dip':<16s} b = {b}: {'holds' if rep.holds else 'FAILS':<6s} "
+      f"min = {rep.min_value:+.3e} at s = {rep.argmin_s:+.6f} (exact roots)")
+
 # On the coarsest admissible grid {-b, 0, b} the series failure is exactly
 # the value at s = 0, which is -2 b^2:
 spec = hf.MetricSpec(hf.phi_family("infinite_series"), 0.5)

@@ -31,7 +31,7 @@ import numpy as np
 from . import catalog
 from .algebra import InvariantVector, ReductiveModel, StructureConstants, build_model, validate_model
 from .curvature import (
-    _RATIONAL_Q,
+    _EXPANDED,
     _s_rows,
     mean_berwald,
     s_curvature,
@@ -334,7 +334,7 @@ def _cmd_s_curv(args, out):
     model, v, spec, mode = _load_space(args)
     y = _parse_y(args.y, model.m_dim)
     records = []
-    if spec.phi.name in _RATIONAL_Q:
+    if spec.phi.name in _EXPANDED:      # the paper's two closed-form profiles
         records.append({"path": "closed_form",
                         "S": s_curvature(model, v, spec, y, path="closed_form", mode=mode)})
     records.append({"path": "generic",
@@ -350,7 +350,7 @@ def _cmd_berwald(args, out):
     y = _parse_y(args.y, model.m_dim)
     n = model.m_dim
     e_fd = mean_berwald(model, v, spec, y, path="finite_difference", mode=mode)
-    has_closed = spec.phi.name in _RATIONAL_Q
+    has_closed = spec.phi.name in _EXPANDED
     e_closed = (mean_berwald(model, v, spec, y, path="closed_form", mode=mode)
                 if has_closed else None)
     records = []
@@ -381,10 +381,10 @@ def _cmd_volume(args, out):
 
 def _cmd_scan(args, out):
     model, v, spec, mode = _load_space(args)
-    if spec.phi.name not in _RATIONAL_Q:
+    if spec.phi.name not in _EXPANDED:
         raise ConfigError(
-            f"scan compares the closed and generic routes; family "
-            f"{spec.phi.name!r} has no closed form")
+            f"scan compares the generic route with the closed forms the paper gives, "
+            f"for {' and '.join(sorted(_EXPANDED))}; got family {spec.phi.name!r}")
     if args.grid < 1:
         raise ConfigError("--grid must be at least 1")
     n = model.m_dim

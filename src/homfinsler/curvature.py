@@ -11,16 +11,16 @@ of (s, b, n) built from the metric profile phi:
     Q     = phi' / (phi - s phi')
     Delta = 1 + s Q + (b^2 - s^2) Q'
     Phi   = -(Q - s Q')(n Delta + 1 + s Q) - (b^2 - s^2)(1 + s Q) Q''
-    psi   = Q' / (2 Delta)
 
 Three independent evaluation routes are provided and cross-checked by the
 test suite:
 
 * ``generic``      - Q, Delta, Phi from phi and its derivatives (quotient rule);
-* ``closed_form``  - for the profiles in _RATIONAL_Q (infinite series and
-                     exponential), Q = N/D with polynomials N and D, from
-                     which _rational_forms derives Q', Q'', Delta, Phi and
-                     W = Phi/(2 Delta^2) as rational functions of s, so that
+* ``closed_form``  - for every exact profile (the built-ins and the
+                     polynomials), Q = N/D with the polynomials N and D that
+                     ``metrics`` derives from phi, from which _rational_forms
+                     derives Q', Q'', Delta, Phi and W = Phi/(2 Delta^2) as
+                     rational functions of s, so that
                      S = W/alpha <[v,y],y> + W Q <[v,y],v>;
 * ``via tensors``  - S = -Phi/(2 alpha Delta^2) (r_00 - 2 alpha Q s_0) from
                      the contracted origin tensors instead of raw brackets.
@@ -65,7 +65,7 @@ from .algebra import (
     validate_model,
 )
 from .errors import DomainError, FinslerError, SingularityError, ValidatedModeError
-from .metrics import MetricSpec, PhiFamily
+from .metrics import ExactProfile, MetricSpec, PhiFamily, _horner, phi_family
 
 __all__ = [
     "CoefficientBundle",
@@ -85,6 +85,7 @@ __all__ = [
 ]
 
 _SING_TOL = 1e-12
+_NO_Q = "phi - s*phi' = 0 at s = {:.6g} ({})"     # the locus where Q is undefined
 
 
 # ---------------------------------------------------------------------------
@@ -104,18 +105,6 @@ class CoefficientBundle:
     Delta: float
     Phi: float
 
-    @property
-    def psi(self) -> float:
-        if abs(self.Delta) < _SING_TOL:
-            raise SingularityError(f"Delta = 0 at s = {self.s:.6g} (psi undefined)")
-        return self.Qp / (2.0 * self.Delta)
-
-    def recompute_phi(self) -> float:
-        """Phi re-evaluated from (Q, Q', Q'', Delta); identity check hook."""
-        s, b, n = self.s, self.b, self.n
-        return (-(self.Q - s * self.Qp) * (n * self.Delta + 1.0 + s * self.Q)
-                - (b * b - s * s) * (1.0 + s * self.Q) * self.Qpp)
-
 
 def coefficients_generic(phi: PhiFamily, s: float, b: float, n: int) -> CoefficientBundle:
     """Coefficients from phi and its first three derivatives.
@@ -127,7 +116,7 @@ def coefficients_generic(phi: PhiFamily, s: float, b: float, n: int) -> Coeffici
         Q'' = ((phi' phi'' + phi phi''') D + 2 s phi phi''^2) / D^3.
 
     A pole of phi (an evaluator's ZeroDivisionError or a non-finite value)
-    raises SingularityError.
+    raises SingularityError, and an evaluator's OverflowError DomainError.
     """
     return CoefficientBundle(s, b, n, *_generic_coefficients(phi, s, b, n))
 
@@ -138,12 +127,14 @@ def _generic_coefficients(phi: PhiFamily, s: float, b: float, n: int) -> tuple:
         vals = (phi.phi(s), phi.dphi(s), phi.d2phi(s), phi.d3phi(s))
     except ZeroDivisionError:
         vals = (math.nan,)
+    except OverflowError:
+        raise DomainError(f"overflow of phi ({phi.name}) at s = {s:.6g}") from None
     if not all(map(math.isfinite, vals)):
         raise SingularityError(f"pole of phi ({phi.name}) at s = {s:.6g}")
     p, p1, p2, p3 = vals
     d = p - s * p1
     if abs(d) < _SING_TOL * max(1.0, abs(p), abs(s * p1)):
-        raise SingularityError(f"phi - s*phi' = 0 at s = {s:.6g} ({phi.name})")
+        raise SingularityError(_NO_Q.format(s, phi.name))
     return _quotient_coefficients(p, p1, p2, p3, d, s, b, n)
 
 
@@ -176,30 +167,22 @@ def _closed_s(num, den, dn, pn, alpha, bvy_y, bvy_v):
     return w / alpha * bvy_y + w * q * bvy_v
 
 
-def _horner(c, s):
-    """Value at s (a float or an array) of the polynomial with ascending coefficients c."""
-    out = 0.0
-    for a in reversed(c):
-        out = out * s + a
-    return out
-
-
-# Q = phi'/(phi - s phi') = N/D, ascending in s: the only per-family closed-form
-# data.  _rational_forms derives everything else from it.
-_RATIONAL_Q = {
-    "infinite_series": ((-2, 1), (0, 1)),   # phi = s^2/(s-1): Q = (s-2)/s
-    "exponential": ((1,), (1, -1)),         # phi = exp(s):     Q = 1/(1-s)
-}
+def _libm_exp(t: float) -> float:
+    """math.exp(t), inf where it overflows."""
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return math.inf
 
 
 _RationalForms = namedtuple("_RationalForms", "N D A B DN DN1 DN2 PN PN1 PN2")
 
 
 @functools.lru_cache(maxsize=256)
-def _rational_forms(family: str, b: float, n: int) -> _RationalForms:
+def _rational_forms(exact: ExactProfile, b: float, n: int) -> _RationalForms | None:
     """Ascending coefficients in s of the closed-route polynomials at (b, n).
 
-    From Q = N/D, by polynomial arithmetic:
+    From the profile's Q = N/D, by polynomial arithmetic:
 
         A  = N'D - ND'                      Q'    = A / D^2
         B  = A'D - 2AD'                     Q''   = B / D^3
@@ -208,15 +191,11 @@ def _rational_forms(family: str, b: float, n: int) -> _RationalForms:
              - (b^2 - s^2)(D + sN)B         Phi   = PN / D^4
 
     so W = Phi/(2 Delta^2) = PN/(2 DN^2), in which D cancels.  DN1, DN2,
-    PN1 and PN2 are the first two s-derivatives of DN and PN.
+    PN1 and PN2 are the first two s-derivatives of DN and PN.  None without Q.
     """
-    try:
-        num, den = (np.array(c, dtype=float) for c in _RATIONAL_Q[family])
-    except KeyError:
-        raise ValueError(
-            f"no closed-form coefficients for family {family!r} (closed forms "
-            f"exist for {sorted(_RATIONAL_Q)}); use the generic path"
-        ) from None
+    if exact.Q is None:
+        return None
+    num, den = (np.array(c) for c in exact.Q)
     add, sub, mul, der = P.polyadd, P.polysub, P.polymul, P.polyder
     s = np.array([0.0, 1.0])
     k = np.array([b * b, 0.0, -1.0])                 # b^2 - s^2
@@ -231,10 +210,21 @@ def _rational_forms(family: str, b: float, n: int) -> _RationalForms:
     return _RationalForms(*(tuple(map(float, c)) for c in polys))
 
 
-def _closed_coefficients(family: str, s: float, b: float, n: int) -> tuple:
+def _closed_forms(phi: PhiFamily, b: float, n: int, s: float | None = None):
+    """_rational_forms of phi, or ValueError for callables; given s, no Q raises at s."""
+    if phi.exact is None:
+        raise ValueError(f"no closed-form coefficients for family {phi.name!r} (user "
+                         "callables have no exact form); use the generic path")
+    forms = _rational_forms(phi.exact, b, n)
+    if forms is None and s is not None:
+        raise SingularityError(_NO_Q.format(s, phi.name))
+    return forms
+
+
+def _closed_coefficients(phi: PhiFamily, s: float, b: float, n: int) -> tuple:
     """(Q, Q', Q'', Delta, Phi) from the closed forms; a pole of Q raises."""
-    forms = _rational_forms(family, b, n)
-    d = _guard(_horner(forms.D, s), s, f"pole of Q ({family})")
+    forms = _closed_forms(phi, b, n, s)
+    d = _guard(_horner(forms.D, s), s, f"pole of Q ({phi.name})")
     return (_horner(forms.N, s) / d, _horner(forms.A, s) / (d * d),
             _horner(forms.B, s) / (d * d * d), _horner(forms.DN, s) / (d * d),
             _horner(forms.PN, s) / (d * d * d * d))
@@ -242,22 +232,22 @@ def _closed_coefficients(family: str, s: float, b: float, n: int) -> tuple:
 
 def coefficients_infinite_series(s: float, b: float, n: int) -> CoefficientBundle:
     """Closed coefficients for phi(s) = s^2/(s-1); singular at s = 0."""
-    return CoefficientBundle(s, b, n, *_closed_coefficients("infinite_series", s, b, n))
+    return CoefficientBundle(s, b, n, *_closed_coefficients(phi_family("infinite_series"), s, b, n))
 
 
 def coefficients_exponential(s: float, b: float, n: int) -> CoefficientBundle:
     """Closed coefficients for phi(s) = exp(s); singular at s = 1."""
-    return CoefficientBundle(s, b, n, *_closed_coefficients("exponential", s, b, n))
+    return CoefficientBundle(s, b, n, *_closed_coefficients(phi_family("exponential"), s, b, n))
 
 
-def _factor_derivs(family: str, s: float, b: float, n: int):
+def _factor_derivs(phi: PhiFamily, s: float, b: float, n: int):
     """W(s) = PN/(2 DN^2) with dW/ds and d2W/ds2 by the quotient rule.
 
     These derivatives are derived directly from the rational function and are
     the authoritative route; see ``transcription_audit`` for the comparison
     against the pre-expanded polynomial tables.
     """
-    forms = _rational_forms(family, b, n)
+    forms = _closed_forms(phi, b, n, s)
     num, num1, num2 = _horner(forms.PN, s), _horner(forms.PN1, s), _horner(forms.PN2, s)
     den, den1, den2 = _horner(forms.DN, s), _horner(forms.DN1, s), _horner(forms.DN2, s)
     _guard(den, s, "Delta = 0")
@@ -346,19 +336,19 @@ def transcription_audit(family: str, b: float = 0.5, n: int = 3,
     second-derivative tables are documented in the README.
     """
     sign, d1_table, d2_table = _EXPANDED[family]
+    phi = phi_family(family)
     if family == "infinite_series":
         grid = np.concatenate([np.linspace(-2.0, -0.15, samples),
                                np.linspace(1.1, 4.0, samples)])
     else:
         grid = np.linspace(-0.9, 0.9, 2 * samples)
-    forms = _rational_forms(family, b, n)
-    max1 = 0.0
-    max2 = 0.0
+    forms = _rational_forms(phi.exact, b, n)
+    max1 = max2 = 0.0
     used = 0
     for s in grid:
         if abs(_horner(forms.DN, s)) < 0.05 or abs(_horner(forms.D, s)) < 0.1:
             continue
-        _, dw, d2w = _factor_derivs(family, s, b, n)
+        _, dw, d2w = _factor_derivs(phi, s, b, n)
         max1 = max(max1, abs(sign * d1_table(s, b, n) - dw) / (1.0 + abs(dw)))
         max2 = max(max2, abs(sign * d2_table(s, b, n) - d2w) / (1.0 + abs(d2w)))
         used += 1
@@ -432,15 +422,15 @@ def s_curvature(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
                 y, path: str = "closed_form", mode: str = "formal") -> float:
     """S(H, y), positively homogeneous of degree 1 in y.
 
-    ``path`` selects "closed_form" (the rational functions derived from
-    ``_RATIONAL_Q``, for the infinite-series and exponential profiles) or
+    ``path`` selects "closed_form" (the rational functions derived from the
+    profile's exact Q, for every built-in and polynomial profile) or
     "generic" (from phi derivatives).  Degenerate cases are exact: v = 0 or
-    [v, y]_m = 0 give 0.  A family without a closed form raises ValueError on
-    the closed route, degenerate or not.
+    [v, y]_m = 0 give 0.  A family of user callables has no closed form and
+    raises ValueError on the closed route, degenerate or not.
     """
     y, alpha = _check_inputs(model, v, spec, y, mode)
     if path == "closed_form":
-        forms = _rational_forms(spec.phi.name, spec.b, model.m_dim)
+        forms = _closed_forms(spec.phi, spec.b, model.m_dim)
     elif path != "generic":
         raise ValueError(f"path must be 'closed_form' or 'generic', got {path!r}")
     if v.c == 0.0:
@@ -455,6 +445,7 @@ def s_curvature(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
         q, _, _, delta, phi_big = _generic_coefficients(spec.phi, s, spec.b, model.m_dim)
         _guard(delta, s, "Delta = 0")
         return _generic_s(q, delta, phi_big, alpha, bvy_y, bvy_v)
+    forms = forms or _closed_forms(spec.phi, spec.b, model.m_dim, s)     # no Q: raises at s
     den = _guard(_horner(forms.D, s), s, f"pole of Q ({spec.phi.name})")
     dn = _guard(_horner(forms.DN, s), s, "Delta = 0")
     return _closed_s(_horner(forms.N, s), den, dn, _horner(forms.PN, s), alpha, bvy_y, bvy_v)
@@ -462,7 +453,7 @@ def s_curvature(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
 
 # Per-row flags of _s_rows: 0 marks a regular row, the others the locus at
 # which the scalar call for that row raises (see _row_error).
-_ROW_Y, _ROW_PHI_POLE, _ROW_PHI_D, _ROW_Q_POLE, _ROW_DELTA = 1, 2, 3, 4, 5
+_ROW_Y, _ROW_PHI_POLE, _ROW_PHI_D, _ROW_Q_POLE, _ROW_DELTA, _ROW_PHI_BIG = 1, 2, 3, 4, 5, 6
 
 _Rows = namedtuple("_Rows", "S flag s phi")
 
@@ -499,11 +490,13 @@ def _s_rows(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, Y,
         s = c * Y[:, -1] / alpha
         if path == "generic":
             phi = spec.phi
-            if phi.name == "exponential":       # libm's exp, as on the scalar route
-                p = p1 = p2 = p3 = np.fromiter(map(math.exp, s.tolist()), float, len(s))
+            if phi.exact is not None and phi.exact.k:     # e^s: libm's exp, as the scalar route
+                p = p1 = p2 = p3 = np.fromiter(map(_libm_exp, s.tolist()), float, len(s))
+                big = p == math.inf                     # where math.exp overflows
             else:
                 p, p1, p2, p3 = (np.broadcast_to(f(s), s.shape)
                                  for f in (phi.phi, phi.dphi, phi.d2phi, phi.d3phi))
+                big = np.zeros(len(s), bool)
             d = p - s * p1
             q, _, _, delta, phi_big = _quotient_coefficients(p, p1, p2, p3, d, s, b, n)
             out = _generic_s(q, delta, phi_big, alpha, bvy_y, bvy_v)
@@ -512,10 +505,13 @@ def _s_rows(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, Y,
             # the scalar checks run in the reverse order; a later mask wins
             loci = ((np.abs(delta) < _SING_TOL, _ROW_DELTA),
                     (np.abs(d) < _SING_TOL * d_scale, _ROW_PHI_D),
-                    (pole, _ROW_PHI_POLE))
+                    (pole, _ROW_PHI_POLE),
+                    (big, _ROW_PHI_BIG))
+        elif (forms := _closed_forms(spec.phi, b, n)) is None:    # no Q: every live row raises
+            p, out = None, np.full(len(s), math.nan)
+            loci = ((live, _ROW_PHI_D),)
         else:
             p = None
-            forms = _rational_forms(spec.phi.name, b, n)
             den = _horner(forms.D, s)
             dn = _horner(forms.DN, s)
             out = _closed_s(_horner(forms.N, s), den, dn, _horner(forms.PN, s),
@@ -538,7 +534,9 @@ def _row_error(rows: _Rows, k: int, y: np.ndarray, name: str) -> FinslerError:
         with np.errstate(over="ignore"):
             return _y_error(y, float(np.linalg.norm(y)))
     if code == _ROW_PHI_D:
-        return SingularityError(f"phi - s*phi' = 0 at s = {s:.6g} ({name})")
+        return SingularityError(_NO_Q.format(s, name))
+    if code == _ROW_PHI_BIG:
+        return DomainError(f"overflow of phi ({name}) at s = {s:.6g}")
     locus = {_ROW_PHI_POLE: f"pole of phi ({name})", _ROW_Q_POLE: f"pole of Q ({name})",
              _ROW_DELTA: "Delta = 0"}[code]
     return SingularityError(f"{locus} at s = {s:.6g}")
@@ -606,12 +604,12 @@ def berwald_workspace(model: ReductiveModel, v: InvariantVector,
                       spec: MetricSpec, y) -> BerwaldWorkspace:
     """Populate the scalar factor and the s-derivative arrays for E.
 
-    Only the profiles in ``_RATIONAL_Q`` (infinite series and exponential)
-    carry a closed-form factor; other families raise ValueError.
+    Every exact profile (built-in or polynomial) carries a closed-form
+    factor, derived from its Q; a family of user callables raises ValueError.
     """
     y, alpha = _check_inputs(model, v, spec, y)
     s, s_y, s_yy = _s_derivs(v.c, y, alpha)
-    w, dw, d2w = _factor_derivs(spec.phi.name, s, spec.b, model.m_dim)
+    w, dw, d2w = _factor_derivs(spec.phi, s, spec.b, model.m_dim)
     return BerwaldWorkspace(s=s, alpha=alpha, factor=w, dfactor_ds=dw,
                             d2factor_ds2=d2w, s_y=s_y, s_yy=s_yy,
                             y_lowered=y.copy())
@@ -630,15 +628,15 @@ def _mean_berwald_closed(model, v, spec, y, alpha) -> np.ndarray:
     the first two s-derivatives of WQ, and k = f1 g + h1 G; M is symmetric
     with the entries below.  E = (H + H^T) / (4 |y|) is exactly symmetric.
     """
-    n, family, c = model.m_dim, spec.phi.name, v.c
-    _rational_forms(family, spec.b, n)              # ValueError without a closed form
+    n, phi, c = model.m_dim, spec.phi, v.c
+    _closed_forms(phi, spec.b, n)                   # ValueError without a closed form
     pt = c * model._brackets[-1]
     if not pt.any():                                # [v, .]_m = 0: E = 0 at every s
         return np.zeros((n, n))
     y = y / alpha
     s = c * float(y[-1])
-    f0, f1, f2 = _factor_derivs(family, s, spec.b, n)
-    q, qp, qpp, _, _ = _closed_coefficients(family, s, spec.b, n)
+    f0, f1, f2 = _factor_derivs(phi, s, spec.b, n)
+    q, qp, qpp, _, _ = _closed_coefficients(phi, s, spec.b, n)
     h1 = f1 * q + f0 * qp
     h2 = f2 * q + 2.0 * f1 * qp + f0 * qpp
     yp = y @ pt                                     # [v, y]_m

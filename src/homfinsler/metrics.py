@@ -5,6 +5,11 @@ alpha is a Riemannian norm and beta a 1-form.  Each family is described by
 the profile phi together with its first three derivatives, which is all the
 curvature formulas ever need.
 
+Every built-in and every polynomial profile is exact, phi = (N/D)(s) e^{ks},
+and is declared once by its coefficients (N, D, k); ``_exact_family``
+derives its evaluators, its domain test and the rational Q = phi'/(phi -
+s phi') of the closed curvature routes.  ``custom`` callables are not exact.
+
 Every evaluator takes either a float or a float64 ndarray of s values.  On
 a float (``np.float64`` included) it returns a float; on an array it returns
 the values entry-wise, as an array or, for a constant derivative, as a float
@@ -13,22 +18,13 @@ every step is one correctly rounded IEEE operation on a float and on an
 array alike, so an array gives the scalar bits for every profile except the
 exponential (numpy's exp rounds independently of libm's).  A pole reads as
 inf or nan on an array, where the scalar call may raise ZeroDivisionError.
-The volume quadrature, ``shen_check`` and the batch curvature kernel
-evaluate whole point sets in one call.
-
-Built-in profiles:
-
-    randers          phi(s) = 1 + s
-    kropina          phi(s) = 1/s
-    matsumoto        phi(s) = 1/(1 - s)
-    infinite_series  phi(s) = s^2/(s - 1)
-    exponential      phi(s) = exp(s)
 
 The positivity criterion for F to be a genuine Finsler norm on |s| <= b is
 
     phi(s) > 0   and   phi(s) - s phi'(s) + (b^2 - s^2) phi''(s) > 0.
 
-``shen_check`` evaluates it on a grid, in one array pass.  The
+``shen_check`` evaluates it on a grid, in one array pass, and for an exact
+profile also wherever it can change sign between grid points.  The
 infinite-series profile fails it on any interval containing s = 0
 (phi(0) = 0); curvature formulas for it are still well defined as rational
 expressions, which is why the rest of the package distinguishes a "formal"
@@ -38,11 +34,13 @@ from a "validated" evaluation mode.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import DomainError
 
@@ -55,6 +53,20 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, eq=False)      # compared by identity: a cheap cache key
+class ExactProfile:
+    """phi^(j) = N[j]/D^(j+1) e^{ks} (j <= 3), Q = Q[0]/Q[1] or None if phi = s phi';
+    the Shen criterion is e^{ks} (G0 + b^2 N2)/D^3 with G0 = N0 D^2 - s N1 D - s^2 N2,
+    and ``roots`` holds the real parts of the roots of N0 and D."""
+
+    N: tuple
+    D: tuple
+    k: int
+    Q: tuple | None
+    G0: tuple
+    roots: tuple
+
+
 @dataclass(frozen=True)
 class PhiFamily:
     """A profile phi(s) with derivatives and a validity domain.
@@ -62,6 +74,7 @@ class PhiFamily:
     ``in_domain(s)`` is true where phi > 0 and phi - s*phi' != 0, i.e. where
     F = alpha*phi(beta/alpha) is positive and the coefficient Q = phi'/(phi -
     s*phi') is finite.  ``domain_desc`` is the human-readable version.
+    ``exact`` is set by the builder of exact profiles, None for callables.
     """
 
     name: str
@@ -70,70 +83,8 @@ class PhiFamily:
     d2phi: Callable[[float], float]
     d3phi: Callable[[float], float]
     in_domain: Callable[[float], bool]
-    domain_desc: str
-
-    @classmethod
-    def randers(cls) -> "PhiFamily":
-        return cls(
-            name="randers",
-            phi=lambda s: 1.0 + s,
-            dphi=lambda s: 1.0,
-            d2phi=lambda s: 0.0,
-            d3phi=lambda s: 0.0,
-            in_domain=lambda s: s > -1.0,
-            domain_desc="s in (-1, inf)",
-        )
-
-    @classmethod
-    def kropina(cls) -> "PhiFamily":
-        return cls(
-            name="kropina",
-            phi=lambda s: 1.0 / s,
-            dphi=lambda s: -1.0 / (s * s),
-            d2phi=lambda s: 2.0 / (s * s * s),
-            d3phi=lambda s: -6.0 / (s * s * s * s),
-            in_domain=lambda s: s > 0.0,
-            domain_desc="s in (0, inf)",
-        )
-
-    @classmethod
-    def matsumoto(cls) -> "PhiFamily":
-        # phi - s*phi' = (1 - 2s)/(1 - s)^2 vanishes at s = 1/2
-        return cls(
-            name="matsumoto",
-            phi=lambda s: 1.0 / (1.0 - s),
-            dphi=lambda s: 1.0 / ((1.0 - s) * (1.0 - s)),
-            d2phi=lambda s: 2.0 / ((1.0 - s) * (1.0 - s) * (1.0 - s)),
-            d3phi=lambda s: 6.0 / ((1.0 - s) * (1.0 - s) * (1.0 - s) * (1.0 - s)),
-            in_domain=lambda s: s < 1.0 and s != 0.5,
-            domain_desc="s in (-inf, 1/2) or (1/2, 1)",
-        )
-
-    @classmethod
-    def infinite_series(cls) -> "PhiFamily":
-        # phi > 0 only for s > 1; phi - s*phi' = s^2/(s-1)^2 vanishes at s = 0
-        return cls(
-            name="infinite_series",
-            phi=lambda s: s * s / (s - 1.0),
-            dphi=lambda s: (s * s - 2.0 * s) / ((s - 1.0) * (s - 1.0)),
-            d2phi=lambda s: 2.0 / ((s - 1.0) * (s - 1.0) * (s - 1.0)),
-            d3phi=lambda s: -6.0 / ((s - 1.0) * (s - 1.0) * (s - 1.0) * (s - 1.0)),
-            in_domain=lambda s: s > 1.0,
-            domain_desc="s in (1, inf)",
-        )
-
-    @classmethod
-    def exponential(cls) -> "PhiFamily":
-        # phi - s*phi' = e^s (1 - s) vanishes at s = 1
-        return cls(
-            name="exponential",
-            phi=_exp,
-            dphi=_exp,
-            d2phi=_exp,
-            d3phi=_exp,
-            in_domain=lambda s: s != 1.0,
-            domain_desc="s in (-inf, 1) or (1, inf)",
-        )
+    domain_desc: str = "phi > 0 and phi - s*phi' != 0"
+    exact: ExactProfile | None = None
 
     @classmethod
     def custom(cls, phi, dphi, d2phi, d3phi, in_domain=None,
@@ -149,35 +100,81 @@ class PhiFamily:
         pointwise (phi > 0 and phi - s*phi' != 0).
         """
         if in_domain is None:
-            in_domain = _pointwise_domain(phi, dphi)
+            def in_domain(s, phi=phi, dphi=dphi):
+                val = phi(s)
+                return val > 0.0 and val - s * dphi(s) != 0.0
         phi, dphi, d2phi, d3phi = map(_entrywise, (phi, dphi, d2phi, d3phi))
         return cls(name="custom", phi=phi, dphi=dphi, d2phi=d2phi,
                    d3phi=d3phi, in_domain=in_domain, domain_desc=domain_desc)
 
     @classmethod
     def polynomial(cls, coefficients) -> "PhiFamily":
-        """Custom family phi(s) = sum_k c_k s^k from ascending coefficients.
-
-        The evaluators run Horner's rule on floats and on arrays alike.
-        """
+        """The exact family phi(s) = sum_k c_k s^k from ascending coefficients."""
         coeffs = np.asarray(coefficients, dtype=float)
-        if coeffs.ndim != 1 or coeffs.size == 0:
-            raise ValueError("polynomial coefficients must be a non-empty 1-d sequence")
-        derivs = [coeffs]
-        for _ in range(3):
-            derivs.append(np.polynomial.polynomial.polyder(derivs[-1]))
-        p0, p1, p2, p3 = (_horner(c.tolist()) for c in derivs)
-        return cls(name="custom", phi=p0, dphi=p1, d2phi=p2, d3phi=p3,
-                   in_domain=_pointwise_domain(p0, p1),
-                   domain_desc="pointwise: phi > 0 and phi - s*phi' != 0")
+        if coeffs.ndim != 1 or coeffs.size == 0 or not np.isfinite(coeffs).all():
+            raise ValueError("polynomial coefficients must be a non-empty 1-d sequence of "
+                             "finite numbers")
+        return _exact_family("custom", tuple(coeffs.tolist()))
 
 
-def _pointwise_domain(phi, dphi):
+# Each built-in profile phi = (N/D)(s) e^{ks}, as ascending coefficients (N, D, k).
+_BUILTINS = {
+    "randers": ((1, 1), (1,), 0),                   # 1 + s
+    "kropina": ((1,), (0, 1), 0),                   # 1/s
+    "matsumoto": ((1,), (1, -1), 0),                # 1/(1 - s)
+    "infinite_series": ((0, 0, 1), (-1, 1), 0),     # s^2/(s - 1)
+    "exponential": ((1,), (1,), 1),                 # e^s
+}
+
+
+@functools.lru_cache(maxsize=256)
+def _exact_family(name: str, num: tuple, den: tuple = (1,), k: int = 0) -> PhiFamily:
+    """The family phi = (num/den)(s) e^{ks}, all of it derived from the coefficients.
+
+    phi^(j) = N_j/D^(j+1) e^{ks}, N_(j+1) = N_j' D - (j+1) N_j D' + k N_j D, and as
+    phi - s phi' = (N_0 D - s N_1)/D^2 e^{ks}, the domain is D != 0, N_0 D - s N_1 != 0
+    and phi > 0, and Q = N_1/(N_0 D - s N_1) with any common power of s cancelled.
+    The one k != 0 is the exponential's, of rational part 1: its evaluators are ``_exp``.
+    """
+    add, sub, mul, der, s = P.polyadd, P.polysub, P.polymul, P.polyder, (0.0, 1.0)
+    d = np.array(den, dtype=float)
+    nums = [np.array(num, dtype=float)]
+    for j in range(3):
+        c = nums[-1]
+        nums.append(add(sub(mul(der(c), d), (j + 1) * mul(c, der(d))), k * mul(c, d)))
+    qd = tuple(sub(mul(nums[0], d), mul(s, nums[1])).tolist())
+    g0 = sub(mul(nums[0], mul(d, d)), mul(s, add(mul(nums[1], d), mul(s, nums[2]))))
+    q = None
+    if any(qd):
+        z = min(f[0] for f in (np.flatnonzero(nums[1]), np.flatnonzero(qd)) if f.size)
+        q = (tuple(nums[1][z:].tolist()) or (0.0,), qd[z:])
+    roots = tuple(np.concatenate([P.polyroots(nums[0]), P.polyroots(d)]).real.tolist())
+    exact = ExactProfile(tuple(tuple(c.tolist()) for c in nums), tuple(d.tolist()), k, q,
+                         tuple(g0.tolist()), roots)
+    evals = (_exp,) * 4 if k else [_quotient(exact.N[j], exact.D, j + 1) for j in range(4)]
+
     def in_domain(s):
-        val = phi(s)
-        return val > 0.0 and val - s * dphi(s) != 0.0
+        top, dv = _horner(exact.N[0], s), _horner(exact.D, s)
+        return dv != 0.0 and _horner(qd, s) != 0.0 and (top > 0.0 < dv or top < 0.0 > dv)
 
-    return in_domain
+    return PhiFamily(name, *evals, in_domain=in_domain, exact=exact)
+
+
+def _quotient(num: tuple, den: tuple, power: int):
+    """num(s)/den(s)^power, compiled so that a call is one expression; the power a product."""
+    src = _horner_source(num)
+    if den != (1.0,):
+        factors = [f"(d := {_horner_source(den)})"] + ["d"] * (power - 1)
+        src += " / (" + " * ".join(factors) + ")"
+    return eval("lambda s: " + src, {"inf": math.inf, "nan": math.nan})
+
+
+def _horner_source(c: tuple) -> str:
+    """sum_i c[i] s^i as source in the op order of ``_horner``, less its 1 * and + 0 steps."""
+    src = repr(c[-1])
+    for a in c[-2::-1]:
+        src = f"({'s' if src == '1.0' else src + ' * s'}{f' + {a!r}' if a else ''})"
+    return src
 
 
 def _exp(s, _scalar=math.exp, _array=np.exp):
@@ -188,55 +185,35 @@ def _exp(s, _scalar=math.exp, _array=np.exp):
         return _array(s)
 
 
-def _horner(coeffs):
-    """The evaluator of sum_k coeffs[k] s^k; the op order of numpy's polyval."""
-    lead, rest = coeffs[-1], coeffs[-2::-1]
-
-    def evaluate(s):
-        acc = lead
-        for c in rest:
-            acc = c + acc * s
-        return acc
-
-    return evaluate
-
-
-def _phi_at(f, s: float) -> float:
-    """f(s) for a scalar evaluator f; a pole (ZeroDivisionError) reads nan."""
-    try:
-        return f(s)
-    except ZeroDivisionError:
-        return math.nan
+def _horner(c, s):
+    """sum_k c[k] s^k at s (a float or an array), in the op order of numpy's polyval."""
+    acc = c[-1]
+    for a in c[-2::-1]:
+        acc = a + acc * s
+    return acc
 
 
 def _entrywise(f):
     """f on floats, and entry by entry on arrays, where a ZeroDivisionError reads nan."""
+    def at(t):
+        try:
+            return f(t)
+        except ZeroDivisionError:
+            return math.nan
+
     def evaluate(s):
         if isinstance(s, np.ndarray):
-            flat = [_phi_at(f, t) for t in s.ravel().tolist()]
-            return np.array(flat, dtype=float).reshape(s.shape)
+            return np.array([at(t) for t in s.ravel().tolist()], dtype=float).reshape(s.shape)
         return f(s)
 
     return evaluate
 
 
-_BUILTINS = {
-    "randers": PhiFamily.randers,
-    "kropina": PhiFamily.kropina,
-    "matsumoto": PhiFamily.matsumoto,
-    "infinite_series": PhiFamily.infinite_series,
-    "exponential": PhiFamily.exponential,
-}
-
-
 def phi_family(name: str) -> PhiFamily:
-    """Look up a built-in family by tag."""
-    try:
-        return _BUILTINS[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown metric family {name!r}; built-ins: {sorted(_BUILTINS)}"
-        ) from None
+    """Look up a built-in family by tag; each tag gives one shared object."""
+    if name not in _BUILTINS:
+        raise KeyError(f"unknown metric family {name!r}; built-ins: {sorted(_BUILTINS)}")
+    return _exact_family(name, *_BUILTINS[name])
 
 
 @dataclass(frozen=True)
@@ -298,6 +275,10 @@ def shen_check(spec: MetricSpec, samples: int = 201) -> ShenReport:
     on the grid.  A phi-singularity at a grid point (a non-finite phi or
     expression) is recorded as a failure at that s, not raised.  The
     minimum is the first smallest value in grid order.
+
+    Where the grid holds for an exact profile, the points where phi or the
+    criterion can change sign between grid points are appended (see
+    ``_sign_change_points``), and the report covers the combined set.
     """
     if samples < 3:
         raise ValueError("samples must be >= 3")
@@ -305,19 +286,40 @@ def shen_check(spec: MetricSpec, samples: int = 201) -> ShenReport:
     grid = np.linspace(-b, b, samples)
     if not np.any(grid == 0.0):
         grid = np.sort(np.append(grid, 0.0))
+    report = _shen_report(spec.phi, b, grid)
+    extra = _sign_change_points(spec.phi.exact, b) if report.holds and spec.phi.exact else []
+    return _shen_report(spec.phi, b, np.concatenate([grid, extra])) if extra else report
 
-    phi = spec.phi
+
+def _sign_change_points(exact: ExactProfile, b: float) -> list:
+    """The real parts in [-b, b] of the roots of N_0, D and G, and their midpoints: phi and
+    the criterion e^{ks} G/D^3, G = N_0 D^2 - s N_1 D + (b^2 - s^2) N_2, change sign only there."""
+    g = [u + b * b * w for u, w in itertools.zip_longest(exact.G0, exact.N[2], fillvalue=0.0)]
+    x = sorted({r for r in (*exact.roots, *_real_parts(g)) if abs(r) <= b})
+    return x + [(u + v) / 2.0 for u, v in zip(x, x[1:])]
+
+
+def _real_parts(c) -> list:
+    """The real parts of the roots of sum_k c[k] s^k; a quadratic's in closed form."""
+    if len(c) != 3 or c[2] == 0.0:
+        return P.polyroots(c).real.tolist() if len(c) > 1 else []
+    v = -c[1] / (2.0 * c[2])                # the real part of a complex pair
+    h = math.sqrt(max(c[1] * c[1] - 4.0 * c[0] * c[2], 0.0)) / (2.0 * abs(c[2]))
+    return [v - h, v + h]
+
+
+def _shen_report(phi: PhiFamily, b: float, points: np.ndarray) -> ShenReport:
     with np.errstate(all="ignore"):
-        p = phi.phi(grid)
-        expr = p - grid * phi.dphi(grid) + (b * b - grid * grid) * phi.d2phi(grid)
+        p = phi.phi(points)
+        expr = p - points * phi.dphi(points) + (b * b - points * points) * phi.d2phi(points)
         finite = np.isfinite(p) & np.isfinite(expr)
         positive_ok = not np.any(finite & (p <= 0.0))
-    singular = tuple(grid[~finite].tolist())
+    singular = tuple(points[~finite].tolist())
     if finite.any():
         k = int(np.argmin(np.where(finite, expr, math.inf)))
-        best_val, best_s = float(expr[k]), float(grid[k])
+        best_val, best_s = float(expr[k]), float(points[k])
     else:
-        best_val, best_s = math.inf, float(grid[0])
+        best_val, best_s = math.inf, float(points[0])
     holds = positive_ok and not singular and best_val > 0.0
     return ShenReport(holds=holds, min_value=best_val, argmin_s=best_s,
                       singular_points=singular)

@@ -8,6 +8,7 @@ import pytest
 
 from homfinsler import (
     MetricSpec,
+    PhiFamily,
     StructureConstants,
     build_model,
     catalog_get,
@@ -16,6 +17,14 @@ from homfinsler import (
 )
 
 FAMILIES = ("infinite_series", "exponential")
+DIP_B = 0.5
+
+
+def dip_profile(s0=0.0025, depth=1e-6):
+    """A cubic whose positivity criterion at b = DIP_B is -depth at s0 and
+    positive elsewhere on the 201-point grid."""
+    c2, c3 = -1.0 / 3.0, -2.0 * s0 / (6.0 * DIP_B * DIP_B)
+    return PhiFamily.polynomial([s0 * s0 - depth - 2.0 * DIP_B * DIP_B * c2, 0.0, c2, c3])
 
 
 def spec_for(entry, family):

@@ -6,7 +6,8 @@ import pytest
 import sympy
 from numpy.polynomial import polynomial as P
 
-from conftest import FAMILIES, sample_in_domain, space_cases, space_of, spec_for
+from conftest import (FAMILIES, dip_profile, sample_in_domain, space_cases, space_of,
+                      spec_for)
 
 from homfinsler import (
     CoefficientBundle,
@@ -40,6 +41,12 @@ from homfinsler.curvature import (
 )
 
 ALL_FAMILIES = ("randers", "kropina", "matsumoto", "infinite_series", "exponential")
+_POLY = (1.0, 0.5, 0.25, -0.125)
+
+
+def _callable_randers():
+    """The Randers profile as user callables, which carry no exact form."""
+    return PhiFamily.custom(lambda s: 1.0 + s, lambda s: 1.0, lambda s: 0.0, lambda s: 0.0)
 
 # Frozen oracle values, computed with exact symbolic arithmetic (generic
 # coefficient definitions and the exact Hessian of S) before the build.
@@ -65,7 +72,6 @@ class TestCoefficients:
         assert c.Qpp == pytest.approx(-0.5)
         assert c.Delta == pytest.approx(-0.875)
         assert c.Phi == pytest.approx(-2.625)
-        assert c.psi == pytest.approx(0.5 / (2 * -0.875))
 
     def test_exponential_spot(self):
         c = coefficients_exponential(0.0, 0.6, 3)
@@ -107,16 +113,6 @@ class TestCoefficients:
                 av, gv = getattr(a, name), getattr(g, name)
                 assert abs(av - gv) <= 1e-10 * (1.0 + abs(gv)), (name, s, b, n)
 
-    def test_phi_identity(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            s = float(rng.uniform(1.2, 4.0))
-            b = float(rng.uniform(0.1, 0.9))
-            n = int(rng.integers(2, 9))
-            for c in (coefficients_infinite_series(s, b, n),
-                      coefficients_exponential(0.5 * b * s / 4.0, b, n)):
-                assert abs(c.recompute_phi() - c.Phi) <= 1e-10 * (1.0 + abs(c.Phi))
-
     def test_singularities(self):
         with pytest.raises(SingularityError, match="s = 0"):
             coefficients_infinite_series(0.0, 0.5, 3)
@@ -124,12 +120,6 @@ class TestCoefficients:
             coefficients_exponential(1.0, 0.5, 3)
         with pytest.raises(SingularityError, match="phi - s"):
             coefficients_generic(phi_family("matsumoto"), 0.5, 0.6, 3)
-
-    def test_psi_singularity(self):
-        c = CoefficientBundle(s=1.0, b=0.5, n=2, Q=1.0, Qp=1.0, Qpp=1.0,
-                              Delta=0.0, Phi=1.0)
-        with pytest.raises(SingularityError, match="psi"):
-            c.psi
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +246,7 @@ class TestSCurvature:
 
     def test_closed_path_needs_closed_family(self):
         e = catalog_get("solvable2")
-        spec = MetricSpec.for_vector(phi_family("randers"), e.v)
+        spec = MetricSpec.for_vector(_callable_randers(), e.v)
         with pytest.raises(ValueError, match="closed-form"):
             s_curvature(e.model, e.v, spec, [1.0, 0.5], path="closed_form")
         # generic path still works
@@ -265,18 +255,18 @@ class TestSCurvature:
     @pytest.mark.parametrize("name", ["abelian3", "heisenberg_central_v", "solvable2", "v=0"])
     def test_closed_family_checked_before_degeneration(self, name):
         # [v, .]_m = 0 (abelian3, heisenberg_central_v) and v = 0 raise like a
-        # regular space: scalar S, block S and closed E all refuse Randers
+        # regular space: scalar S, block S and closed E all refuse user callables
         if name == "v=0":
             st = StructureConstants.from_entries(3, {(0, 1, 2): 1.0})
             model, v = build_model(st, 0, np.eye(3), np.zeros(3))
         else:
             model, v = catalog_get(name).model, catalog_get(name).v
-        spec = MetricSpec.for_vector(phi_family("randers"), v)
+        spec = MetricSpec.for_vector(_callable_randers(), v)
         y = np.ones(model.m_dim)
         for call in (lambda: s_curvature(model, v, spec, y, path="closed_form"),
                      lambda: _s_rows(model, v, spec, y[None, :], "closed_form"),
                      lambda: mean_berwald(model, v, spec, y, path="closed_form")):
-            with pytest.raises(ValueError, match="no closed-form coefficients for family 'randers'"):
+            with pytest.raises(ValueError, match="no closed-form coefficients for family 'custom'"):
                 call()
         s_gen = s_curvature(model, v, spec, y, path="generic")
         assert (s_gen == 0.0) == (name != "solvable2")
@@ -327,7 +317,7 @@ class TestBerwaldWorkspace:
 
     def test_rejects_family_without_factor(self):
         e = catalog_get("solvable2")
-        spec = MetricSpec.for_vector(phi_family("randers"), e.v)
+        spec = MetricSpec.for_vector(_callable_randers(), e.v)
         with pytest.raises(ValueError, match="closed-form"):
             berwald_workspace(e.model, e.v, spec, [1.0, 0.5])
 
@@ -338,14 +328,14 @@ class TestBerwaldWorkspace:
     ])
     def test_factor_derivatives_match_finite_differences(self, family, s_ranges):
         # the analytic dW/ds, d2W/ds2 against Richardson differences of W
-        b, n = 0.5, 3
+        b, n, phi = 0.5, 3, phi_family(family)
 
         def w_of(s):
-            return _factor_derivs(family, s, b, n)[0]
+            return _factor_derivs(phi, s, b, n)[0]
 
         pts = np.concatenate([np.linspace(lo, hi, 25) for lo, hi in s_ranges])
         for s in pts:
-            _, dw, d2w = _factor_derivs(family, float(s), b, n)
+            _, dw, d2w = _factor_derivs(phi, float(s), b, n)
             h = 1e-3
 
             def first(hh):
@@ -496,13 +486,12 @@ def old_closed_e(model, v, spec, y):
         t = np.outer(s_y, g_y)
         return f2 * g * np.outer(s_y, s_y) + f1 * g * s_yy + f1 * (t + t.T) + f0 * g_yy
 
-    n, family = model.m_dim, spec.phi.name
+    n = model.m_dim
     alpha = float(np.linalg.norm(y))
     y = y / alpha
     s, s_y, s_yy = curvature._s_derivs(v.c, y, 1.0)
-    w = _factor_derivs(family, s, spec.b, n)
-    c = {"infinite_series": coefficients_infinite_series,
-         "exponential": coefficients_exponential}[family](s, spec.b, n)
+    w = _factor_derivs(spec.phi, s, spec.b, n)
+    c = CoefficientBundle(s, spec.b, n, *curvature._closed_coefficients(spec.phi, s, spec.b, n))
     p = v.c * model._brackets[-1].T
     py = p @ y
     g = float(py @ y)
@@ -588,7 +577,7 @@ class TestClosedRankFour:
         # the missing closed form is reported even where E would be zero
         for name in ("abelian3", "solvable2"):
             e = catalog_get(name)
-            spec = MetricSpec.for_vector(phi_family("randers"), e.v)
+            spec = MetricSpec.for_vector(_callable_randers(), e.v)
             with pytest.raises(ValueError, match="closed-form"):
                 mean_berwald(e.model, e.v, spec, np.ones(e.model.m_dim))
 
@@ -645,7 +634,7 @@ class TestBlockKernel:
         vf = e.v.frame_coords(e.model)
         # unit rows with s within 1e-9 of each root of the infinite series'
         # Delta numerator DN = s^3 - 3 s^2 + 2 b^2 in (-b, b)
-        roots = P.polyroots(_rational_forms("infinite_series", e.v.b, n).DN)
+        roots = P.polyroots(_rational_forms(phi_family("infinite_series").exact, e.v.b, n).DN)
         near = [r.real + t for r in roots if abs(r.imag) < 1e-12 and abs(r.real) < e.v.b
                 for t in np.linspace(-1e-9, 1e-9, 9)]
         yn = np.array(near) / e.v.c
@@ -655,7 +644,7 @@ class TestBlockKernel:
         Y = np.vstack([rng.standard_normal((40, n)) * rng.uniform(0.1, 3.0, (40, 1)),
                        vf, np.eye(n), np.zeros(n),         # y = v, s = 0 rows, y = 0
                        delta_rows])
-        paths = ("closed_form", "generic") if family in FAMILIES else ("generic",)
+        paths = ("closed_form", "generic") if spec.phi.exact is not None else ("generic",)
         for path in paths:
             rows = _s_rows(e.model, e.v, spec, Y, path)
             for k, y in enumerate(Y):
@@ -701,6 +690,90 @@ class TestBlockKernel:
 
 
 # ---------------------------------------------------------------------------
+# closed routes of every exact profile
+# ---------------------------------------------------------------------------
+
+def _exact_phi(family):
+    return PhiFamily.polynomial(_POLY) if family == "polynomial" else phi_family(family)
+
+
+def _closed_sample(sp, phi, count, rng):
+    """Directions whose s keeps 0.05 from the poles of Q and from Delta = 0."""
+    forms = _rational_forms(phi.exact, sp.v.b, sp.model.m_dim)
+    out = []
+    while len(out) < count:
+        y = rng.standard_normal(sp.model.m_dim) * rng.uniform(0.6, 1.8)
+        s = sp.v.c * float(y[-1]) / float(np.linalg.norm(y))
+        den = P.polyval(s, forms.D)
+        if abs(den) >= 0.05 and abs(P.polyval(s, forms.DN) / (den * den)) >= 0.05:
+            out.append(y)
+    return out
+
+
+def _overflow_space():
+    # b = 1000: at y = (0.1, 1), s = 995 and e^s overflows
+    st = StructureConstants.from_entries(2, {(0, 1, 1): 1.0})
+    model, v = build_model(st, 0, np.eye(2), [0.0, 1000.0])
+    return model, v, MetricSpec(phi_family("exponential"), 1000.0)
+
+
+class TestExactClosedRoutes:
+    @pytest.mark.parametrize("family", ["randers", "kropina", "matsumoto", "polynomial"])
+    @pytest.mark.parametrize("case", space_cases())
+    def test_closed_matches_other_routes(self, case, family, rng):
+        sp = space_of(case)
+        spec = MetricSpec.for_vector(_exact_phi(family), sp.v)
+        m, v = sp.model, sp.v
+        for k, y in enumerate(_closed_sample(sp, spec.phi, 30, rng)):
+            closed = s_curvature(m, v, spec, y)
+            generic = s_curvature(m, v, spec, y, path="generic")
+            assert abs(closed - generic) <= 1e-10 * (1.0 + abs(generic)), (family, y)
+            if k < 6:
+                e_closed = mean_berwald(m, v, spec, y)
+                e_fd = mean_berwald(m, v, spec, y, path="finite_difference")
+                scale = 1.0 + float(np.max(np.abs(e_closed)))
+                assert np.max(np.abs(e_closed - e_fd)) <= 1e-5 * scale, (family, y)
+
+    def test_profile_without_q_raises_like_generic(self):
+        # phi = s: phi - s phi' = 0 identically, so no s has a Q
+        e = catalog_get("heisenberg3")
+        spec = MetricSpec.for_vector(PhiFamily.polynomial([0.0, 1.0]), e.v)
+        y = np.array([1.0, 0.7, 0.4])
+        with pytest.raises(SingularityError) as generic:
+            s_curvature(e.model, e.v, spec, y, path="generic")
+        assert str(generic.value).startswith("phi - s*phi' = 0 at s = ")
+        for call in (lambda: s_curvature(e.model, e.v, spec, y),
+                     lambda: mean_berwald(e.model, e.v, spec, y),
+                     lambda: berwald_workspace(e.model, e.v, spec, y)):
+            with pytest.raises(SingularityError) as closed:
+                call()
+            assert str(closed.value) == str(generic.value)
+        Y = np.array([y, e.v.frame_coords(e.model)])         # the second row has [v, y]_m = 0
+        rows = _s_rows(e.model, e.v, spec, Y, "closed_form")
+        assert rows.flag.tolist()[1] == 0 and rows.S[1] == 0.0 and np.isnan(rows.S[0])
+        assert str(_row_error(rows, 0, y, "custom")) == str(generic.value)
+
+    def test_exponential_overflow_is_a_finsler_error(self):
+        model, v, spec = _overflow_space()
+        y = np.array([0.1, 1.0])
+        assert s_curvature(model, v, spec, y) == pytest.approx(0.231, abs=1e-3)
+        s = v.c * 1.0 / float(np.linalg.norm(y))
+        message = f"overflow of phi (exponential) at s = {s:.6g}"
+        for call in (lambda: s_curvature(model, v, spec, y, path="generic"),
+                     lambda: s_curvature_via_tensors(model, v, spec, y),
+                     lambda: mean_berwald(model, v, spec, y, path="finite_difference")):
+            with pytest.raises(DomainError) as info:
+                call()
+            assert str(info.value) == message
+        # only the overflowing row of a block is flagged
+        Y = np.array([y, [1.0, 1e-4]])
+        rows = _s_rows(model, v, spec, Y, "generic")
+        assert rows.flag[0] > 0 and rows.flag[1] == 0
+        assert str(_row_error(rows, 0, y, "exponential")) == message
+        assert rows.S[1] == s_curvature(model, v, spec, Y[1], path="generic")
+
+
+# ---------------------------------------------------------------------------
 # validated mode
 # ---------------------------------------------------------------------------
 
@@ -734,6 +807,15 @@ class TestValidatedMode:
             validated = _s_rows(m, v, spec, Y, path, mode="validated")
             assert np.array_equal(formal.S, validated.S)
             assert np.array_equal(formal.flag, validated.flag)
+
+    def test_narrow_dip_is_refused(self):
+        # the Shen criterion of this cubic dips to -1e-6 between grid points
+        e = catalog_get("heisenberg3")
+        spec = MetricSpec.for_vector(dip_profile(), e.v)
+        y = np.array([1.0, 0.7, 0.4])
+        assert np.isfinite(s_curvature(e.model, e.v, spec, y, path="generic"))
+        with pytest.raises(ValidatedModeError, match="positivity criterion fails for custom"):
+            s_curvature(e.model, e.v, spec, y, path="generic", mode="validated")
 
     def test_refusals_repeat_with_the_same_message(self):
         e = catalog_get("heisenberg3")
@@ -809,11 +891,18 @@ class TestSymbolicOracle:
     @pytest.mark.parametrize("family,s_ranges", [
         ("infinite_series", [(-2.0, -0.2), (0.2, 3.0)]),
         ("exponential", [(-2.0, 0.9)]),
+        ("randers", [(-0.9, 2.0)]),
+        ("kropina", [(-2.0, -0.2), (0.2, 2.0)]),
+        ("matsumoto", [(-2.0, 0.4), (0.6, 0.95)]),
+        ("polynomial", [(-0.9, 2.0)]),      # Q's denominator 1 - s^2/4 + s^3/4 > 0.9 there
     ])
     def test_rational_forms_match_sympy(self, family, s_ranges):
         # Q ... W'' derived from phi by sympy, evaluated with 30 digits
         s, b, n = sympy.symbols("s b n")
-        phi = {"infinite_series": s**2 / (s - 1), "exponential": sympy.exp(s)}[family]
+        poly = sum(sympy.nsimplify(c) * s**k for k, c in enumerate(_POLY))
+        phi = {"randers": 1 + s, "kropina": 1 / s, "matsumoto": 1 / (1 - s),
+               "infinite_series": s**2 / (s - 1), "exponential": sympy.exp(s),
+               "polynomial": poly}[family]
         q = sympy.simplify(sympy.diff(phi, s) / (phi - s * sympy.diff(phi, s)))
         qp, qpp = sympy.diff(q, s), sympy.diff(q, s, 2)
         delta = 1 + s * q + (b**2 - s**2) * qp
@@ -823,8 +912,7 @@ class TestSymbolicOracle:
         exact = sympy.lambdify((s, b, n), [q, qp, qpp, delta, big_phi, w,
                                            sympy.diff(w, s), sympy.diff(w, s, 2)],
                                "mpmath")
-        closed = {"infinite_series": coefficients_infinite_series,
-                  "exponential": coefficients_exponential}[family]
+        fam = PhiFamily.polynomial(_POLY) if family == "polynomial" else phi_family(family)
         rng = np.random.default_rng(12)
         checked = 0
         while checked < 60:
@@ -835,13 +923,17 @@ class TestSymbolicOracle:
                 ref = [float(x) for x in exact(mpmath.mpf(sv), mpmath.mpf(bv), nv)]
             if abs(ref[3]) < 0.05:
                 continue  # keep clear of Delta = 0, where W is ill-conditioned
-            c = closed(sv, bv, nv)
-            got = [c.Q, c.Qp, c.Qpp, c.Delta, c.Phi, *_factor_derivs(family, sv, bv, nv)]
+            got = [*curvature._closed_coefficients(fam, sv, bv, nv),
+                   *_factor_derivs(fam, sv, bv, nv)]
             # relative, on a scale floored at 1 where a value crosses zero
             for name, g, r in zip(("Q", "Q'", "Q''", "Delta", "Phi", "W", "W'", "W''"),
                                   got, ref):
                 assert abs(g - r) <= 1e-12 * max(abs(r), 1.0), (family, name, sv, bv, nv)
             checked += 1
+        if family in FAMILIES:      # the public closed coefficients are the same numbers
+            public = {"infinite_series": coefficients_infinite_series,
+                      "exponential": coefficients_exponential}[family](sv, bv, nv)
+            assert dataclasses.astuple(public)[3:] == tuple(got[:5])
 
 
 # ---------------------------------------------------------------------------

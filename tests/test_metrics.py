@@ -2,10 +2,14 @@ import math
 import struct
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import DIP_B, dip_profile
 
 from homfinsler import (
     DomainError,
@@ -111,8 +115,9 @@ class TestPhiFamilies:
         assert not poly.in_domain(-2.0)  # phi < 0 there
 
     def test_polynomial_rejects_empty(self):
-        with pytest.raises(ValueError):
-            PhiFamily.polynomial([])
+        for coeffs in ([], [math.nan, 1.0, 1.0], [1.0, math.inf, 1.0]):
+            with pytest.raises(ValueError, match="non-empty 1-d sequence of finite numbers"):
+                PhiFamily.polynomial(coeffs)
 
     def test_custom_requires_no_autodiff(self):
         fam = PhiFamily.custom(lambda s: 1.0, lambda s: 0.0,
@@ -201,13 +206,33 @@ class TestShenCheck:
         with pytest.raises(ValueError):
             shen_check(MetricSpec(phi_family("randers"), 0.5), samples=2)
 
+    def test_narrow_dip_between_grid_points(self):
+        # the criterion of this cubic is -1e-6 at s = 0.0025 and positive on
+        # every point of the 201-point grid; its roots locate the dip
+        report = shen_check(MetricSpec(dip_profile(), DIP_B))
+        assert not report.holds
+        assert report.min_value == pytest.approx(-1.0e-6, rel=1e-3)
+        assert report.argmin_s == pytest.approx(0.0025, rel=1e-3)
+        assert report.singular_points == ()
+
+    def test_dip_refuses_validated_volume(self):
+        with pytest.raises(ValidatedModeError, match="positivity criterion min -9.99"):
+            volume_coefficient(dip_profile(), DIP_B, 3, "bh", mode="validated")
+        assert volume_coefficient(dip_profile(), DIP_B, 3, "bh") > 0.0
+
+    @pytest.mark.parametrize("b", np.linspace(0.0, 0.99, 34).tolist() + [0.4999, 0.5, 0.5001])
+    def test_matsumoto_holds_iff_b_below_one_half(self, b):
+        # G = 1 - 3s + 2b^2 has its root (1 + 2b^2)/3 in [-b, b] iff b >= 1/2
+        assert shen_check(MetricSpec(phi_family("matsumoto"), b)).holds == (b < 0.5)
+
 
 # ---------------------------------------------------------------------------
 # the float-or-array evaluator contract
 # ---------------------------------------------------------------------------
 
 # The scalar evaluators as plain float formulas, each integer power a
-# product multiplied left to right.
+# product multiplied left to right, each polynomial in Horner form (the
+# infinite series' phi' numerator is (s - 2) s, no longer s s - 2 s).
 _SCALAR_REFERENCE = {
     "randers": (lambda s: 1.0 + s, lambda s: 1.0, lambda s: 0.0, lambda s: 0.0),
     "kropina": (lambda s: 1.0 / s, lambda s: -1.0 / (s * s), lambda s: 2.0 / (s * s * s),
@@ -217,7 +242,7 @@ _SCALAR_REFERENCE = {
                   lambda s: 2.0 / ((1.0 - s) * (1.0 - s) * (1.0 - s)),
                   lambda s: 6.0 / ((1.0 - s) * (1.0 - s) * (1.0 - s) * (1.0 - s))),
     "infinite_series": (lambda s: s * s / (s - 1.0),
-                        lambda s: (s * s - 2.0 * s) / ((s - 1.0) * (s - 1.0)),
+                        lambda s: (s - 2.0) * s / ((s - 1.0) * (s - 1.0)),
                         lambda s: 2.0 / ((s - 1.0) * (s - 1.0) * (s - 1.0)),
                         lambda s: -6.0 / ((s - 1.0) * (s - 1.0) * (s - 1.0) * (s - 1.0))),
     "exponential": (math.exp,) * 4,
@@ -356,3 +381,67 @@ class TestEvaluatorContract:
                 volume_coefficient(fam, 0.5, 3, "bh")
             with pytest.raises(ValidatedModeError):
                 volume_coefficient(fam, 0.5, 3, "ht", mode="validated")
+
+
+# ---------------------------------------------------------------------------
+# exact profiles
+# ---------------------------------------------------------------------------
+
+def _sympy_phi(s):
+    return {"randers": 1 + s, "kropina": 1 / s, "matsumoto": 1 / (1 - s),
+            "infinite_series": s**2 / (s - 1), "exponential": sympy.exp(s)}
+
+
+# The hand-written domain tests that the derived ones replace.
+_OLD_IN_DOMAIN = {
+    "randers": lambda s: s > -1.0,
+    "kropina": lambda s: s > 0.0,
+    "matsumoto": lambda s: s < 1.0 and s != 0.5,
+    "infinite_series": lambda s: s > 1.0,
+    "exponential": lambda s: s != 1.0,
+}
+
+
+class TestExactProfiles:
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_derived_evaluators_match_sympy(self, family):
+        s = sympy.Symbol("s")
+        derivs = sympy.lambdify(s, [sympy.diff(_sympy_phi(s)[family], s, j) for j in range(4)],
+                                "mpmath")
+        fam = phi_family(family)
+        for x in _sample_points(family, 60).tolist():
+            with mpmath.workdps(30):
+                ref = [float(v) for v in derivs(mpmath.mpf(x))]
+            for f, r in zip(_evaluators(fam), ref):
+                assert abs(f(x) - r) <= 1e-14 * max(abs(r), 1.0), (family, x)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_derived_domain_equals_the_old_lambda(self, family):
+        poles = [-1.0, 0.0, 0.5, 1.0, 2.0]
+        grid = np.concatenate([np.linspace(-3.0, 3.0, 601), poles,
+                               np.nextafter(poles, -np.inf), np.nextafter(poles, np.inf),
+                               [-1e-300, 1e-300, -1e300, 1e300]])
+        fam = phi_family(family)
+        for x in grid.tolist():
+            assert fam.in_domain(x) == _OLD_IN_DOMAIN[family](x), (family, x)
+
+    def test_one_declaration_gives_one_object(self):
+        assert phi_family("matsumoto") is phi_family("matsumoto")
+        assert PhiFamily.polynomial([1.0, 2.0]).exact is PhiFamily.polynomial((1, 2)).exact
+        assert PhiFamily.custom(math.exp, math.exp, math.exp, math.exp).exact is None
+
+    @pytest.mark.parametrize("family,q", [
+        ("randers", ((1.0,), (1.0,))),
+        ("kropina", ((-1.0,), (0.0, 2.0))),
+        ("matsumoto", ((1.0,), (1.0, -2.0))),
+        ("infinite_series", ((-2.0, 1.0), (0.0, 1.0))),      # s(s - 2)/s^2, s cancelled
+        ("exponential", ((1.0,), (1.0, -1.0))),
+    ])
+    def test_derived_q(self, family, q):
+        assert phi_family(family).exact.Q == q
+
+    def test_polynomial_q(self):
+        # phi - s phi' = sum (1 - k) c_k s^k: no linear term, and none at all for c0 + c1 s
+        assert PhiFamily.polynomial([0.0, 1.0]).exact.Q is None
+        assert PhiFamily.polynomial([2.0, 1.0]).exact.Q == ((1.0,), (2.0,))
+        assert PhiFamily.polynomial([0.0, 0.0, 1.0]).exact.Q == ((2.0,), (0.0, -1.0))   # -2/s
