@@ -18,6 +18,7 @@ Conventions:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -60,6 +61,8 @@ def _normalize_entries(entries) -> dict:
     table = {}
     for i, j, k, v in items:
         key = (i, j, k)
+        if not math.isfinite(v):
+            raise ValueError(f"structure constant {key} must be finite, got {v}")
         if key in table:
             raise ValueError(f"structure constant {key} supplied twice")
         table[key] = v
@@ -135,7 +138,7 @@ class StructureConstants:
         return worst
 
 
-def orthonormal_frame(inner_product: np.ndarray, v=None, tol: float = DEFAULT_TOL) -> np.ndarray:
+def orthonormal_frame(inner_product: np.ndarray, v=None) -> np.ndarray:
     """Orthonormal frame of m, with v/|v| as last vector when v is nonzero.
 
     Pivoted modified Gram-Schmidt in the given inner product, run on all
@@ -143,8 +146,8 @@ def orthonormal_frame(inner_product: np.ndarray, v=None, tol: float = DEFAULT_TO
     rows of one array; v/|v| goes first when v is nonzero.  Each further
     step takes the candidate of largest residual norm (the first on ties),
     drops it by zeroing its row, and projects every candidate off the new
-    vector with one outer product.  A largest residual norm <= tol means
-    the inner product is degenerate.  Rows of the result are the frame
+    vector with one outer product.  A largest residual norm <= DEFAULT_TOL
+    means the inner product is degenerate.  Rows of the result are the frame
     vectors.
     """
     g = np.asarray(inner_product, dtype=float)
@@ -163,7 +166,7 @@ def orthonormal_frame(inner_product: np.ndarray, v=None, tol: float = DEFAULT_TO
         if u is None:
             norms = np.sqrt(np.maximum(np.einsum("ij,ij->i", cg, cand), 0.0))
             j = int(np.argmax(norms))
-            if norms[j] <= tol:
+            if norms[j] <= DEFAULT_TOL:
                 raise ValueError("could not complete an orthonormal frame (inner product degenerate?)")
             u = cand[j] / norms[j]
             cand[j] = cg[j] = 0.0
@@ -347,15 +350,14 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
 
-def validate_model(model: ReductiveModel, v: InvariantVector | None = None,
-                   tol: float = DEFAULT_TOL) -> ValidationReport:
+def validate_model(model: ReductiveModel, v: InvariantVector | None = None) -> ValidationReport:
     """Run the named structural checks and report max residuals.
 
     Checks: bracket antisymmetry, the Jacobi identity, reductivity
     ([h, m] stays in m), invariance of the inner product under h, and
     invariance of v under h ([w, v]_m = 0 for h-basis w).  Checks that
     quantify over h are vacuously true when h_dim = 0.  The first four are
-    computed once per model; ``tol`` only decides ``passed``.
+    computed once per model; a check passes at residual <= DEFAULT_TOL.
     """
     if v is not None and v.coords.shape != (model.m_dim,):
         raise ValueError("invariant vector has wrong dimension for this model")
@@ -365,7 +367,7 @@ def validate_model(model: ReductiveModel, v: InvariantVector | None = None,
         zv = np.tensordot(v.coords, model.structure.tensor[:h, h:, h:], axes=(0, 1))
         inv_v = float(np.max(np.abs(zv)))
     return ValidationReport(checks=tuple(
-        CheckResult(name=name, passed=residual <= tol, residual=residual, tolerance=tol)
+        CheckResult(name, residual <= DEFAULT_TOL, residual, DEFAULT_TOL)
         for name, residual in zip(("antisymmetry", "jacobi", "reductivity",
                                    "inner_product_invariance", "v_invariance"),
                                   model._residuals + (inv_v,))))

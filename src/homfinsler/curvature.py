@@ -210,21 +210,9 @@ def _rational_forms(exact: ExactProfile, b: float, n: int) -> _RationalForms | N
     return _RationalForms(*(tuple(map(float, c)) for c in polys))
 
 
-def _closed_forms(phi: PhiFamily, b: float, n: int, s: float | None = None):
-    """_rational_forms of phi, or ValueError for callables; given s, no Q raises at s."""
-    if phi.exact is None:
-        raise ValueError(f"no closed-form coefficients for family {phi.name!r} (user "
-                         "callables have no exact form); use the generic path")
-    forms = _rational_forms(phi.exact, b, n)
-    if forms is None and s is not None:
-        raise SingularityError(_NO_Q.format(s, phi.name))
-    return forms
-
-
-def _closed_coefficients(phi: PhiFamily, s: float, b: float, n: int) -> tuple:
+def _closed_coefficients(forms: _RationalForms, s: float, name: str) -> tuple:
     """(Q, Q', Q'', Delta, Phi) from the closed forms; a pole of Q raises."""
-    forms = _closed_forms(phi, b, n, s)
-    d = _guard(_horner(forms.D, s), s, f"pole of Q ({phi.name})")
+    d = _guard(_horner(forms.D, s), s, f"pole of Q ({name})")
     return (_horner(forms.N, s) / d, _horner(forms.A, s) / (d * d),
             _horner(forms.B, s) / (d * d * d), _horner(forms.DN, s) / (d * d),
             _horner(forms.PN, s) / (d * d * d * d))
@@ -232,22 +220,25 @@ def _closed_coefficients(phi: PhiFamily, s: float, b: float, n: int) -> tuple:
 
 def coefficients_infinite_series(s: float, b: float, n: int) -> CoefficientBundle:
     """Closed coefficients for phi(s) = s^2/(s-1); singular at s = 0."""
-    return CoefficientBundle(s, b, n, *_closed_coefficients(phi_family("infinite_series"), s, b, n))
+    forms = _rational_forms(phi_family("infinite_series").exact, b, n)
+    return CoefficientBundle(s, b, n, *_closed_coefficients(forms, s, "infinite_series"))
 
 
 def coefficients_exponential(s: float, b: float, n: int) -> CoefficientBundle:
     """Closed coefficients for phi(s) = exp(s); singular at s = 1."""
-    return CoefficientBundle(s, b, n, *_closed_coefficients(phi_family("exponential"), s, b, n))
+    forms = _rational_forms(phi_family("exponential").exact, b, n)
+    return CoefficientBundle(s, b, n, *_closed_coefficients(forms, s, "exponential"))
 
 
-def _factor_derivs(phi: PhiFamily, s: float, b: float, n: int):
-    """W(s) = PN/(2 DN^2) with dW/ds and d2W/ds2 by the quotient rule.
+def _factor_derivs(forms: _RationalForms | None, s: float, name: str):
+    """W(s) = PN/(2 DN^2) with dW/ds and d2W/ds2 by the quotient rule; no Q raises at s.
 
     These derivatives are derived directly from the rational function and are
     the authoritative route; see ``transcription_audit`` for the comparison
     against the pre-expanded polynomial tables.
     """
-    forms = _closed_forms(phi, b, n, s)
+    if forms is None:
+        raise SingularityError(_NO_Q.format(s, name))
     num, num1, num2 = _horner(forms.PN, s), _horner(forms.PN1, s), _horner(forms.PN2, s)
     den, den1, den2 = _horner(forms.DN, s), _horner(forms.DN1, s), _horner(forms.DN2, s)
     _guard(den, s, "Delta = 0")
@@ -348,7 +339,7 @@ def transcription_audit(family: str, b: float = 0.5, n: int = 3,
     for s in grid:
         if abs(_horner(forms.DN, s)) < 0.05 or abs(_horner(forms.D, s)) < 0.1:
             continue
-        _, dw, d2w = _factor_derivs(phi, s, b, n)
+        _, dw, d2w = _factor_derivs(forms, s, family)
         max1 = max(max1, abs(sign * d1_table(s, b, n) - dw) / (1.0 + abs(dw)))
         max2 = max(max2, abs(sign * d2_table(s, b, n) - d2w) / (1.0 + abs(d2w)))
         used += 1
@@ -362,9 +353,48 @@ def transcription_audit(family: str, b: float = 0.5, n: int = 3,
 # S-curvature
 # ---------------------------------------------------------------------------
 
+_S_PATHS = ("closed_form", "generic")
+_E_PATHS = ("closed_form", "finite_difference")
+
+
+def _check_spec(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, mode: str,
+                path: str, paths: tuple) -> _RationalForms | None:
+    """Every check that does not depend on y, in this order: ``path`` is one of
+    ``paths``; the closed path has closed forms (ValueError for callables);
+    spec.b matches |v|; ``mode``.  Returns the closed forms, None on another
+    path or without Q (which the closed routes raise at s)."""
+    if path not in paths:
+        raise ValueError(f"path must be {paths[0]!r} or {paths[1]!r}, got {path!r}")
+    forms = None
+    if path == "closed_form":
+        if spec.phi.exact is None:
+            raise ValueError(f"no closed-form coefficients for family {spec.phi.name!r} (user "
+                             "callables have no exact form); use the generic path")
+        forms = _rational_forms(spec.phi.exact, spec.b, model.m_dim)
+    if abs(spec.b - v.b) > 1e-9:
+        raise ValueError(f"MetricSpec.b = {spec.b} does not match |v| = {v.b}; "
+                         "build the spec with MetricSpec.for_vector")
+    if mode == "validated":
+        report = validate_model(model, v)
+        if not report.passed:
+            bad = report.failed_checks()[0]
+            raise ValidatedModeError(
+                f"validated mode: model check {bad.name!r} failed "
+                f"(residual {bad.residual:.3g} > {bad.tolerance:.3g})")
+        shen = spec._shen
+        if not shen.holds:
+            raise ValidatedModeError(
+                f"validated mode: positivity criterion fails for {spec.phi.name} "
+                f"(min {shen.min_value:.6g} at s = {shen.argmin_s:.6g})")
+    elif mode != "formal":
+        raise ValueError(f"mode must be 'formal' or 'validated', got {mode!r}")
+    return forms
+
+
 def _check_inputs(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, y,
-                  mode: str = "formal"):
-    """Checked y as a float array with alpha = |y|; also enforces ``mode``."""
+                  mode: str, path: str, paths: tuple):
+    """``_check_spec``, then y: (y as a float array, alpha = |y|, the closed forms)."""
+    forms = _check_spec(model, v, spec, mode, path, paths)
     y = np.asarray(y, dtype=float)
     if y.shape != (model.m_dim,):
         raise ValueError(f"y must have {model.m_dim} components")
@@ -372,8 +402,7 @@ def _check_inputs(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, y
         alpha = float(np.linalg.norm(y))
     if not sys.float_info.min <= alpha * alpha < math.inf:
         raise _y_error(y, alpha)
-    _check_spec(model, v, spec, mode)
-    return y, alpha
+    return y, alpha, forms
 
 
 def _y_error(y: np.ndarray, alpha: float) -> DomainError:
@@ -382,33 +411,6 @@ def _y_error(y: np.ndarray, alpha: float) -> DomainError:
     return DomainError(
         f"|y| = {alpha:.3g}: y must be finite, with |y|^2 a normal float "
         "(neither subnormal nor overflowing)")
-
-
-def _check_spec(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, mode: str):
-    """The checks that do not depend on y: spec.b against |v|, and ``mode``."""
-    if abs(spec.b - v.b) > 1e-9:
-        raise ValueError(
-            f"MetricSpec.b = {spec.b} does not match |v| = {v.b}; "
-            "build the spec with MetricSpec.for_vector"
-        )
-    if mode == "validated":
-        _require_validated(model, v, spec)
-    elif mode != "formal":
-        raise ValueError(f"mode must be 'formal' or 'validated', got {mode!r}")
-
-
-def _require_validated(model: ReductiveModel, v: InvariantVector, spec: MetricSpec):
-    report = validate_model(model, v)
-    if not report.passed:
-        bad = report.failed_checks()[0]
-        raise ValidatedModeError(
-            f"validated mode: model check {bad.name!r} failed "
-            f"(residual {bad.residual:.3g} > {bad.tolerance:.3g})")
-    shen = spec._shen
-    if not shen.holds:
-        raise ValidatedModeError(
-            f"validated mode: positivity criterion fails for {spec.phi.name} "
-            f"(min {shen.min_value:.6g} at s = {shen.argmin_s:.6g})")
 
 
 def _guard(value: float, s: float, locus: str) -> float:
@@ -428,13 +430,7 @@ def s_curvature(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
     [v, y]_m = 0 give 0.  A family of user callables has no closed form and
     raises ValueError on the closed route, degenerate or not.
     """
-    y, alpha = _check_inputs(model, v, spec, y, mode)
-    if path == "closed_form":
-        forms = _closed_forms(spec.phi, spec.b, model.m_dim)
-    elif path != "generic":
-        raise ValueError(f"path must be 'closed_form' or 'generic', got {path!r}")
-    if v.c == 0.0:
-        return 0.0
+    y, alpha, forms = _check_inputs(model, v, spec, y, mode, path, _S_PATHS)
     br = v.c * (y @ model._brackets[-1])         # [v, y]_m
     if not br.any():
         return 0.0
@@ -445,7 +441,8 @@ def s_curvature(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
         q, _, _, delta, phi_big = _generic_coefficients(spec.phi, s, spec.b, model.m_dim)
         _guard(delta, s, "Delta = 0")
         return _generic_s(q, delta, phi_big, alpha, bvy_y, bvy_v)
-    forms = forms or _closed_forms(spec.phi, spec.b, model.m_dim, s)     # no Q: raises at s
+    if forms is None:
+        raise SingularityError(_NO_Q.format(s, spec.phi.name))
     den = _guard(_horner(forms.D, s), s, f"pole of Q ({spec.phi.name})")
     dn = _guard(_horner(forms.DN, s), s, "Delta = 0")
     return _closed_s(_horner(forms.N, s), den, dn, _horner(forms.PN, s), alpha, bvy_y, bvy_v)
@@ -462,16 +459,14 @@ def _s_rows(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, Y,
             path: str, mode: str = "formal") -> _Rows:
     """S(H, y) at every row y of Y (N x n) by ``path``, in one array pass.
 
-    The block form of ``s_curvature``: spec.b and ``mode`` are checked once,
-    and every scalar guard is a row mask with the same threshold.  A row at
-    which the scalar call raises gets S = nan and a nonzero ``flag``
+    The block form of ``s_curvature``: ``_check_spec`` runs once, and every
+    scalar guard is a row mask with the same threshold.  A row at which the
+    scalar call raises gets S = nan and a nonzero ``flag``
     (``_row_error`` rebuilds that error); a row with [v, y]_m = 0 gets exactly
     0.  ``s`` is beta/alpha per row and ``phi`` is phi(s) on the generic
     route (None on the closed route).
     """
-    _check_spec(model, v, spec, mode)
-    if path not in ("closed_form", "generic"):
-        raise ValueError(f"path must be 'closed_form' or 'generic', got {path!r}")
+    forms = _check_spec(model, v, spec, mode, path, _S_PATHS)
     Y = np.asarray(Y, dtype=float)
     n, b, c = model.m_dim, spec.b, v.c
     if Y.ndim != 2 or Y.shape[1] != n:
@@ -490,7 +485,9 @@ def _s_rows(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, Y,
         s = c * Y[:, -1] / alpha
         if path == "generic":
             phi = spec.phi
-            if phi.exact is not None and phi.exact.k:     # e^s: libm's exp, as the scalar route
+            if phi.exact is None:                       # callables, as the scalar route calls them
+                p, p1, p2, p3, big = _callable_rows(phi, s)
+            elif phi.exact.k:                           # e^s: libm's exp, as the scalar route
                 p = p1 = p2 = p3 = np.fromiter(map(_libm_exp, s.tolist()), float, len(s))
                 big = p == math.inf                     # where math.exp overflows
             else:
@@ -507,7 +504,7 @@ def _s_rows(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, Y,
                     (np.abs(d) < _SING_TOL * d_scale, _ROW_PHI_D),
                     (pole, _ROW_PHI_POLE),
                     (big, _ROW_PHI_BIG))
-        elif (forms := _closed_forms(spec.phi, b, n)) is None:    # no Q: every live row raises
+        elif forms is None:                             # no Q: every live row raises
             p, out = None, np.full(len(s), math.nan)
             loci = ((live, _ROW_PHI_D),)
         else:
@@ -525,6 +522,18 @@ def _s_rows(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, Y,
     flag[bad_y] = _ROW_Y
     S = np.where(flag > 0, math.nan, np.where(live, out, 0.0))
     return _Rows(S=S, flag=flag, s=s, phi=p)
+
+
+def _callable_rows(phi: PhiFamily, s: np.ndarray) -> tuple:
+    """phi, phi', phi'', phi''' of a family of callables at every s, and the rows at
+    which one of them overflows; a row's ZeroDivisionError reads as nan (a pole)."""
+    vals, big = np.full((4, len(s)), math.nan), np.zeros(len(s), bool)
+    for k, t in enumerate(s.tolist()):
+        try:
+            vals[:, k] = (phi.phi(t), phi.dphi(t), phi.d2phi(t), phi.d3phi(t))
+        except (ZeroDivisionError, OverflowError) as exc:
+            big[k] = isinstance(exc, OverflowError)
+    return (*vals, big)
 
 
 def _row_error(rows: _Rows, k: int, y: np.ndarray, name: str) -> FinslerError:
@@ -551,9 +560,7 @@ def s_curvature_via_tensors(model: ReductiveModel, v: InvariantVector,
     with <[v,y]_m, y> = -r_00 and <[v,y]_m, v> = 2 s_0; must agree with
     ``s_curvature`` to rounding.
     """
-    y, alpha = _check_inputs(model, v, spec, y, mode)
-    if v.c == 0.0:
-        return 0.0
+    y, alpha, _ = _check_inputs(model, v, spec, y, mode, "generic", _S_PATHS)
     tensors = origin_tensors(model, v)
     r00 = float(y @ tensors.r @ y)
     s0 = v.c * float(tensors.s[-1] @ y)
@@ -607,15 +614,15 @@ def berwald_workspace(model: ReductiveModel, v: InvariantVector,
     Every exact profile (built-in or polynomial) carries a closed-form
     factor, derived from its Q; a family of user callables raises ValueError.
     """
-    y, alpha = _check_inputs(model, v, spec, y)
+    y, alpha, forms = _check_inputs(model, v, spec, y, "formal", "closed_form", _E_PATHS)
     s, s_y, s_yy = _s_derivs(v.c, y, alpha)
-    w, dw, d2w = _factor_derivs(spec.phi, s, spec.b, model.m_dim)
+    w, dw, d2w = _factor_derivs(forms, s, spec.phi.name)
     return BerwaldWorkspace(s=s, alpha=alpha, factor=w, dfactor_ds=dw,
                             d2factor_ds2=d2w, s_y=s_y, s_yy=s_yy,
                             y_lowered=y.copy())
 
 
-def _mean_berwald_closed(model, v, spec, y, alpha) -> np.ndarray:
+def _mean_berwald_closed(forms, name, c, pt, y, alpha) -> np.ndarray:
     """Half the Hessian of the closed S, assembled at y/|y| and divided by |y|.
 
     At |y| = 1, with Pt = c br[-1] (Pt[i, j] = <[v, v_i]_m, v_j>), the
@@ -628,15 +635,11 @@ def _mean_berwald_closed(model, v, spec, y, alpha) -> np.ndarray:
     the first two s-derivatives of WQ, and k = f1 g + h1 G; M is symmetric
     with the entries below.  E = (H + H^T) / (4 |y|) is exactly symmetric.
     """
-    n, phi, c = model.m_dim, spec.phi, v.c
-    _closed_forms(phi, spec.b, n)                   # ValueError without a closed form
-    pt = c * model._brackets[-1]
-    if not pt.any():                                # [v, .]_m = 0: E = 0 at every s
-        return np.zeros((n, n))
+    n = len(y)
     y = y / alpha
     s = c * float(y[-1])
-    f0, f1, f2 = _factor_derivs(phi, s, spec.b, n)
-    q, qp, qpp, _, _ = _closed_coefficients(phi, s, spec.b, n)
+    f0, f1, f2 = _factor_derivs(forms, s, name)
+    q, qp, qpp, _, _ = _closed_coefficients(forms, s, name)
     h1 = f1 * q + f0 * qp
     h2 = f2 * q + 2.0 * f1 * qp + f0 * qpp
     yp = y @ pt                                     # [v, y]_m
@@ -689,15 +692,13 @@ def _stencil_hessian(vals: list, n: int, hh: float) -> np.ndarray:
     return out
 
 
-def _mean_berwald_fd(model, v, spec, y, h) -> np.ndarray:
-    """Half the Richardson-refined central-difference Hessian of S at unit y.
+def _mean_berwald_fd(model, v, spec, y) -> np.ndarray:
+    """Half the Richardson-refined central-difference Hessian of S at unit y, step 1e-4.
 
     The stencils of both step sizes are one block of generic S; the first
     flagged point raises the error that the scalar S raises there.
     """
-    n = model.m_dim
-    if h <= 0.0 or np.all(y + h * np.eye(n)[0] == y):
-        raise DomainError(f"finite-difference step underflow (h = {h:.3g} |y|)")
+    n, h = model.m_dim, 1e-4
     points = _stencil(n)
     block = y + np.concatenate([(h / 2.0) * points, h * points])
     rows = _s_rows(model, v, spec, block, "generic")
@@ -713,28 +714,22 @@ def _mean_berwald_fd(model, v, spec, y, h) -> np.ndarray:
 
 
 def mean_berwald(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
-                 y, path: str = "closed_form", mode: str = "formal",
-                 step: float | None = None) -> np.ndarray:
+                 y, path: str = "closed_form", mode: str = "formal") -> np.ndarray:
     """E(H, y) as an n x n symmetric matrix.
 
     "closed_form" assembles the Hessian of the closed S (exactly symmetric);
     "finite_difference" returns half the Richardson-refined central-difference
-    Hessian of the generic-path S, with step ``step`` (default 1e-4 |y|).
-    Both routes work at y/|y| and divide by |y|: E(lambda y) = E(y)/lambda.
+    Hessian of the generic-path S, with step 1e-4 |y|.  Both routes work at
+    y/|y| and divide by |y|: E(lambda y) = E(y)/lambda.  Where [v, .]_m = 0
+    (v = 0 included) both give exact zeros.
     """
-    y, alpha = _check_inputs(model, v, spec, y, mode)
-    n = model.m_dim
-    if path == "closed_form":                   # exact zeros at v = 0, as [v, .]_m = 0
-        return _mean_berwald_closed(model, v, spec, y, alpha)
-    if v.c == 0.0:
-        return np.zeros((n, n))
-    if path == "finite_difference":
-        if not model._brackets[-1].any():
-            return np.zeros((n, n))
-        h = 1e-4 if step is None else step / alpha
-        return _mean_berwald_fd(model, v, spec, y / alpha, h) / alpha
-    raise ValueError(
-        f"path must be 'closed_form' or 'finite_difference', got {path!r}")
+    y, alpha, forms = _check_inputs(model, v, spec, y, mode, path, _E_PATHS)
+    pt = v.c * model._brackets[-1]
+    if not pt.any():
+        return np.zeros((model.m_dim, model.m_dim))
+    if path == "closed_form":
+        return _mean_berwald_closed(forms, spec.phi.name, v.c, pt, y, alpha)
+    return _mean_berwald_fd(model, v, spec, y / alpha) / alpha
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,8 @@ class PhiFamily:
 
     ``in_domain(s)`` is true where phi > 0 and phi - s*phi' != 0, i.e. where
     F = alpha*phi(beta/alpha) is positive and the coefficient Q = phi'/(phi -
-    s*phi') is finite.  ``domain_desc`` is the human-readable version.
-    ``exact`` is set by the builder of exact profiles, None for callables.
+    s*phi') is finite.  ``exact`` is set by the builder of exact profiles,
+    None for callables.
     """
 
     name: str
@@ -83,12 +83,10 @@ class PhiFamily:
     d2phi: Callable[[float], float]
     d3phi: Callable[[float], float]
     in_domain: Callable[[float], bool]
-    domain_desc: str = "phi > 0 and phi - s*phi' != 0"
     exact: ExactProfile | None = None
 
     @classmethod
-    def custom(cls, phi, dphi, d2phi, d3phi, in_domain=None,
-               domain_desc="custom") -> "PhiFamily":
+    def custom(cls, phi, dphi, d2phi, d3phi) -> "PhiFamily":
         """Build a family from user-supplied evaluators.
 
         All three derivatives must be supplied; nothing is differentiated
@@ -96,16 +94,16 @@ class PhiFamily:
         wrapped once so that it also takes an ndarray, which it is then
         called on entry by entry, a ZeroDivisionError reading as nan.  A
         float goes straight to the callable, so the scalar routes still see
-        its ZeroDivisionError.  Without ``in_domain`` the domain is checked
-        pointwise (phi > 0 and phi - s*phi' != 0).
+        its ZeroDivisionError.  The domain is checked pointwise (phi > 0 and
+        phi - s*phi' != 0).
         """
-        if in_domain is None:
-            def in_domain(s, phi=phi, dphi=dphi):
-                val = phi(s)
-                return val > 0.0 and val - s * dphi(s) != 0.0
+        def in_domain(s, phi=phi, dphi=dphi):
+            val = phi(s)
+            return val > 0.0 and val - s * dphi(s) != 0.0
+
         phi, dphi, d2phi, d3phi = map(_entrywise, (phi, dphi, d2phi, d3phi))
         return cls(name="custom", phi=phi, dphi=dphi, d2phi=d2phi,
-                   d3phi=d3phi, in_domain=in_domain, domain_desc=domain_desc)
+                   d3phi=d3phi, in_domain=in_domain)
 
     @classmethod
     def polynomial(cls, coefficients) -> "PhiFamily":
@@ -243,17 +241,19 @@ class MetricSpec:
 def finsler_norm(spec: MetricSpec, alpha: float, beta: float) -> float:
     """F = alpha * phi(beta/alpha); degree-1 homogeneous in (alpha, beta).
 
-    Raises DomainError when alpha <= 0 or s = beta/alpha leaves the domain
-    where phi is a positive admissible profile.
+    Raises DomainError when alpha <= 0, when s = beta/alpha leaves the domain
+    where phi is a positive admissible profile, or when phi overflows at s.
     """
     if alpha <= 0.0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     s = beta / alpha
-    if not spec.phi.in_domain(s):
-        raise DomainError(
-            f"s = {s:.6g} outside domain of {spec.phi.name} ({spec.phi.domain_desc})"
-        )
-    return alpha * spec.phi.phi(s)
+    try:
+        if not spec.phi.in_domain(s):
+            raise DomainError(f"s = {s:.6g} outside domain of {spec.phi.name} "
+                              "(phi > 0 and phi - s*phi' != 0)")
+        return alpha * spec.phi.phi(s)
+    except OverflowError:
+        raise DomainError(f"overflow of phi ({spec.phi.name}) at s = {s:.6g}") from None
 
 
 @dataclass(frozen=True)

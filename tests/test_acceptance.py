@@ -174,8 +174,7 @@ def test_criterion_06_isotropy_and_vanishing_at_v():
 
 
 def test_criterion_07_volume_quadrature():
-    riemannian = PhiFamily.custom(lambda s: 1.0, lambda s: 0.0, lambda s: 0.0,
-                                  lambda s: 0.0, in_domain=lambda s: True)
+    riemannian = PhiFamily.custom(lambda s: 1.0, lambda s: 0.0, lambda s: 0.0, lambda s: 0.0)
     for form in ("bh", "ht"):
         for (b, n) in ((0.4, 2), (0.6, 3), (0.2, 7)):
             f = volume_coefficient(riemannian, b, n, form)

@@ -267,6 +267,12 @@ class TestBuildModelInputs:
         with pytest.raises(ValueError, match=match):
             build_model(self.ST, 0, inner, v)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_non_finite_structure_constant(self, value, strict):
+        with pytest.raises(ValueError, match=r"structure constant \(0, 1, 2\) must be finite"):
+            StructureConstants.from_entries(3, {(0, 1, 2): value}, strict=strict)
+
     @pytest.mark.parametrize("field,match", [
         ("frame", "not orthonormal"),
         ("inner_product", "must be symmetric"),
@@ -673,11 +679,10 @@ class TestResidualCache:
 
     def test_cache_serves_every_tolerance(self):
         model, v = similitude(3, 1.3, twin=True)
-        assert not validate_model(model, v).passed
-        loose = validate_model(model, v, tol=10.0)
-        assert loose.passed
-        assert all(c.tolerance == 10.0 for c in loose.checks)
-        assert [c.residual for c in loose.checks] == loop_residuals(model, v)
+        report = validate_model(model, v)
+        assert not report.passed
+        assert all(c.tolerance == algebra.DEFAULT_TOL for c in report.checks)
+        assert [c.residual for c in report.checks] == loop_residuals(model, v)
 
 
 class TestEquality:

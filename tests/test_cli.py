@@ -231,6 +231,7 @@ class TestSpaceConfig:
         ("v", [float("nan"), 0.0], "v_coords must be finite"),
         ("v", [0.0, float("inf")], "v_coords must be finite"),
         ("inner_product", [1.0, 0.0, 0.0, float("nan")], "inner_product must be finite"),
+        ("structure", [[0, 1, 1, float("nan")]], "structure constant (0, 1, 1) must be finite"),
     ])
     @pytest.mark.parametrize("command", ["s-curv", "validate"])
     def test_non_finite_inputs_exit_2(self, tmp_path, capsys, key, value, match, command):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import mpmath
 import numpy as np
@@ -203,8 +204,22 @@ class TestSCurvature:
         with pytest.raises(ValueError, match="does not match"):
             s_curvature(e.model, e.v, MetricSpec(phi_family("exponential"), 0.3),
                         [1.0, 0.0])
-        with pytest.raises(ValueError, match="path"):
-            s_curvature(e.model, e.v, spec, [1.0, 1.0], path="nope")
+        # an unknown path or mode is refused alike by every entry, and also
+        # at v = 0, where no route has anything to compute
+        zero_v = InvariantVector.from_coords(e.model, [0.0, 0.0])
+        y = np.array([1.0, 1.0])
+        entries = (lambda v, sp, path, mode: s_curvature(e.model, v, sp, y, path, mode),
+                   lambda v, sp, path, mode: mean_berwald(e.model, v, sp, y, path, mode),
+                   lambda v, sp, path, mode: _s_rows(e.model, v, sp, y[None, :], path, mode))
+        for path, mode, match in (("nope", "formal", "path must be"),
+                                  ("closed_form", "nope", "mode must be")):
+            for entry in entries:
+                messages = set()
+                for v, sp in ((e.v, spec), (zero_v, MetricSpec(spec.phi, 0.0))):
+                    with pytest.raises(ValueError, match=match) as info:
+                        entry(v, sp, path, mode)
+                    messages.add(str(info.value))
+                assert len(messages) == 1, messages
 
     @pytest.mark.parametrize("y", [[np.nan, 1.0, 1.0], [1e-300] * 3, [1e-160] * 3,
                                    [1e200] * 3],
@@ -328,14 +343,14 @@ class TestBerwaldWorkspace:
     ])
     def test_factor_derivatives_match_finite_differences(self, family, s_ranges):
         # the analytic dW/ds, d2W/ds2 against Richardson differences of W
-        b, n, phi = 0.5, 3, phi_family(family)
+        forms = _rational_forms(phi_family(family).exact, 0.5, 3)
 
         def w_of(s):
-            return _factor_derivs(phi, s, b, n)[0]
+            return _factor_derivs(forms, s, family)[0]
 
         pts = np.concatenate([np.linspace(lo, hi, 25) for lo, hi in s_ranges])
         for s in pts:
-            _, dw, d2w = _factor_derivs(phi, float(s), b, n)
+            _, dw, d2w = _factor_derivs(forms, float(s), family)
             h = 1e-3
 
             def first(hh):
@@ -430,13 +445,6 @@ class TestMeanBerwald:
         scaled = lam * mean_berwald(e.model, e.v, spec, lam * y, path="finite_difference")
         assert np.max(np.abs(scaled - base)) <= 1e-5 * np.max(np.abs(base))
 
-    def test_step_underflow(self):
-        e = catalog_get("solvable2")
-        spec = spec_for(e, "exponential")
-        with pytest.raises(DomainError, match="underflow"):
-            mean_berwald(e.model, e.v, spec, [1.0, 0.3],
-                         path="finite_difference", step=-1.0)
-
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     @pytest.mark.parametrize("name", ["heisenberg3", "solvable2", "su2_like"])
     def test_finite_difference_exactly_symmetric(self, name, family, rng):
@@ -490,8 +498,9 @@ def old_closed_e(model, v, spec, y):
     alpha = float(np.linalg.norm(y))
     y = y / alpha
     s, s_y, s_yy = curvature._s_derivs(v.c, y, 1.0)
-    w = _factor_derivs(spec.phi, s, spec.b, n)
-    c = CoefficientBundle(s, spec.b, n, *curvature._closed_coefficients(spec.phi, s, spec.b, n))
+    forms = _rational_forms(spec.phi.exact, spec.b, n)
+    w = _factor_derivs(forms, s, spec.phi.name)
+    c = CoefficientBundle(s, spec.b, n, *curvature._closed_coefficients(forms, s, spec.phi.name))
     p = v.c * model._brackets[-1].T
     py = p @ y
     g = float(py @ y)
@@ -772,6 +781,24 @@ class TestExactClosedRoutes:
         assert str(_row_error(rows, 0, y, "exponential")) == message
         assert rows.S[1] == s_curvature(model, v, spec, Y[1], path="generic")
 
+    def test_custom_overflow_is_a_finsler_error(self):
+        # a block row at which a callable overflows says what the scalar S says
+        model, v, _ = _overflow_space()
+        spec = MetricSpec(PhiFamily.custom(math.exp, math.exp, math.exp, math.exp), 1000.0)
+        y = np.array([0.1, 1.0])
+        message = "overflow of phi (custom) at s = 995.037"
+        for call in (lambda: s_curvature(model, v, spec, y, path="generic"),
+                     lambda: mean_berwald(model, v, spec, y, path="finite_difference")):
+            with pytest.raises(DomainError) as info:
+                call()
+            assert str(info.value) == message
+        Y = np.array([y, [1.0, 1e-4]])
+        rows = _s_rows(model, v, spec, Y, "generic")
+        assert rows.flag[0] > 0 and rows.flag[1] == 0
+        assert str(_row_error(rows, 0, y, "custom")) == message
+        assert rows.S[1] == s_curvature(model, v, spec, Y[1], path="generic")
+        assert isotropy_test(model, v, spec, 20).samples_used == 20
+
 
 # ---------------------------------------------------------------------------
 # validated mode
@@ -923,8 +950,9 @@ class TestSymbolicOracle:
                 ref = [float(x) for x in exact(mpmath.mpf(sv), mpmath.mpf(bv), nv)]
             if abs(ref[3]) < 0.05:
                 continue  # keep clear of Delta = 0, where W is ill-conditioned
-            got = [*curvature._closed_coefficients(fam, sv, bv, nv),
-                   *_factor_derivs(fam, sv, bv, nv)]
+            forms = _rational_forms(fam.exact, bv, nv)
+            got = [*curvature._closed_coefficients(forms, sv, fam.name),
+                   *_factor_derivs(forms, sv, fam.name)]
             # relative, on a scale floored at 1 where a value crosses zero
             for name, g, r in zip(("Q", "Q'", "Q''", "Delta", "Phi", "W", "W'", "W''"),
                                   got, ref):

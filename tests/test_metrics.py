@@ -161,6 +161,15 @@ class TestFinslerNorm:
         with pytest.raises(DomainError, match="alpha"):
             finsler_norm(spec, 0.0, 2.0)
 
+    def test_overflow_is_a_domain_error(self):
+        spec = MetricSpec(phi_family("exponential"), 0.5)
+        with pytest.raises(DomainError) as info:
+            finsler_norm(spec, 1.0, 1000.0)
+        assert str(info.value) == "overflow of phi (exponential) at s = 1000"
+        callables = MetricSpec(PhiFamily.custom(math.exp, math.exp, math.exp, math.exp), 0.5)
+        with pytest.raises(DomainError, match="overflow of phi \\(custom\\) at s = 1000"):
+            finsler_norm(callables, 1.0, 1000.0)
+
     @settings(deadline=None, max_examples=100)
     @given(lam=st.floats(1e-3, 1e3), alpha=st.floats(0.1, 10.0),
            ratio=st.floats(-0.89, 0.89))

@@ -15,9 +15,7 @@ from homfinsler import (
 )
 from homfinsler.volume import _gegenbauer_rule
 
-RIEMANNIAN = PhiFamily.custom(lambda s: 1.0, lambda s: 0.0, lambda s: 0.0,
-                              lambda s: 0.0, in_domain=lambda s: True,
-                              domain_desc="all s")
+RIEMANNIAN = PhiFamily.custom(lambda s: 1.0, lambda s: 0.0, lambda s: 0.0, lambda s: 0.0)
 
 
 class TestTFunction:
