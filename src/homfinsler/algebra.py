@@ -250,6 +250,15 @@ class ReductiveModel:
         return (_readonly(_christoffel(br)), _readonly(-0.5 * (rn + rn.T)),
                 _readonly(upper - upper.T))
 
+    @functools.cached_property
+    def _records(self) -> dict:
+        """The curvature routes' y-independent data, one record per invariant vector.
+
+        Keyed by v (compared by identity) and filled by ``curvature``; it lives
+        and dies with the model, and ``dataclasses.replace`` starts it empty.
+        """
+        return {}
+
 
 @dataclass(frozen=True, eq=False)
 class InvariantVector:

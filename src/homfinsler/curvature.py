@@ -45,6 +45,19 @@ integer power in them, and in the built-in profiles, is a product, and a
 product or quotient rounds alike on a float and on an array entry, so each
 row equals the scalar S bit for bit; for the exponential profile the kernel
 takes libm's exp once per row, as the scalar route does.
+
+A scalar call does per-direction work only.  What depends on (model, v)
+alone is one record per (model, v), kept in ``model._records`` (``_Record``):
+br[-1]; Pt = c br[-1] with a flag for [v, .]_m = 0; closed E's Pt + Pt^T and
+c Pt[:, -1]; and, built when first asked for, the tensor route's r and s[-1]
+and the validated gate's ``validate_model`` verdict.  Per direction a call
+takes alpha = sqrt(y.dot(y)) (under numpy's overflow guard only when some
+|y_i| >= 1e150), [v, y]_m, its two contractions and s, then the coefficients
+at s: phi and its derivatives on the generic routes, or the closed forms
+N, D, DN, PN (all ten for E) from one compiled Horner evaluation.  The S
+routes' vector products use ``ndarray.dot``, which matmul equals but for the
+sign of a zero sum (matmul adds the sum to +0.0); a ``+ 0.0`` restores that
+sign, so every value keeps its bits.
 """
 
 from __future__ import annotations
@@ -65,7 +78,7 @@ from .algebra import (
     validate_model,
 )
 from .errors import DomainError, FinslerError, SingularityError, ValidatedModeError
-from .metrics import ExactProfile, MetricSpec, PhiFamily, _horner, phi_family
+from .metrics import ExactProfile, MetricSpec, PhiFamily, phi_family
 
 __all__ = [
     "CoefficientBundle",
@@ -175,7 +188,46 @@ def _libm_exp(t: float) -> float:
         return math.inf
 
 
-_RationalForms = namedtuple("_RationalForms", "N D A B DN DN1 DN2 PN PN1 PN2")
+class _RationalForms(namedtuple("_RationalForms", "N D A B DN DN1 DN2 PN PN1 PN2")):
+    """The closed-route polynomials of ``_rational_forms``, with one-call evaluators."""
+
+    @functools.cached_property
+    def s_values_at(self):
+        """s -> (N, D, DN, PN) at s (a float or an array): what closed S reads."""
+        return _evaluator(self.N, self.D, self.DN, self.PN)
+
+    @functools.cached_property
+    def values_at(self):
+        """s -> all ten polynomials at s, in field order: what closed E reads."""
+        return _evaluator(*self)
+
+
+def _evaluator(*polys):
+    """s -> the values at s of these ascending coefficient tuples, as one call."""
+    return functools.partial(_horner_code(tuple(map(len, polys))), *polys)
+
+
+@functools.lru_cache(maxsize=64)
+def _horner_code(lengths: tuple):
+    """f(c_0, ..., c_k, s) -> (c_0(s), ..., c_k(s)) for coefficient tuples of these lengths.
+
+    Straight-line code in the op order of ``metrics._horner``, so each value
+    has its bits; compiled once per tuple of lengths, which depends on the
+    profile's degrees and not on b or n, so a new space compiles nothing.
+    """
+    body, values = [], []
+    for k, length in enumerate(lengths):
+        names = [f"c{k}_{i}" for i in range(length)]
+        body.append(f"    {', '.join(names)}, = c{k}")
+        expr = names[-1]
+        for a in names[-2::-1]:
+            expr = f"{a} + ({expr}) * s"
+        values.append(expr)
+    args = "".join(f"c{k}, " for k in range(len(lengths)))
+    scope = {}
+    exec(f"def horner({args}s):\n" + "\n".join(body)
+         + f"\n    return ({''.join(v + ', ' for v in values)})", scope)
+    return scope["horner"]
 
 
 @functools.lru_cache(maxsize=256)
@@ -212,10 +264,9 @@ def _rational_forms(exact: ExactProfile, b: float, n: int) -> _RationalForms | N
 
 def _closed_coefficients(forms: _RationalForms, s: float, name: str) -> tuple:
     """(Q, Q', Q'', Delta, Phi) from the closed forms; a pole of Q raises."""
-    d = _guard(_horner(forms.D, s), s, f"pole of Q ({name})")
-    return (_horner(forms.N, s) / d, _horner(forms.A, s) / (d * d),
-            _horner(forms.B, s) / (d * d * d), _horner(forms.DN, s) / (d * d),
-            _horner(forms.PN, s) / (d * d * d * d))
+    num, den, a, bq, dn, _, _, pn, _, _ = forms.values_at(s)
+    d = _guard(den, s, f"pole of Q ({name})")
+    return num / d, a / (d * d), bq / (d * d * d), dn / (d * d), pn / (d * d * d * d)
 
 
 def coefficients_infinite_series(s: float, b: float, n: int) -> CoefficientBundle:
@@ -239,8 +290,12 @@ def _factor_derivs(forms: _RationalForms | None, s: float, name: str):
     """
     if forms is None:
         raise SingularityError(_NO_Q.format(s, name))
-    num, num1, num2 = _horner(forms.PN, s), _horner(forms.PN1, s), _horner(forms.PN2, s)
-    den, den1, den2 = _horner(forms.DN, s), _horner(forms.DN1, s), _horner(forms.DN2, s)
+    return _w_derivs(*forms.values_at(s)[4:], s)
+
+
+def _w_derivs(den, den1, den2, num, num1, num2, s):
+    """(W, W', W'') from DN, DN', DN'' (den...) and PN, PN', PN'' (num...) at s;
+    Delta = 0 raises."""
     _guard(den, s, "Delta = 0")
     w = num / (2.0 * (den * den))
     dw = (num1 * den - 2.0 * num * den1) / (2.0 * (den * den * den))
@@ -337,7 +392,8 @@ def transcription_audit(family: str, b: float = 0.5, n: int = 3,
     max1 = max2 = 0.0
     used = 0
     for s in grid:
-        if abs(_horner(forms.DN, s)) < 0.05 or abs(_horner(forms.D, s)) < 0.1:
+        _, den, dn, _ = forms.s_values_at(s)
+        if abs(dn) < 0.05 or abs(den) < 0.1:
             continue
         _, dw, d2w = _factor_derivs(forms, s, family)
         max1 = max(max1, abs(sign * d1_table(s, b, n) - dw) / (1.0 + abs(dw)))
@@ -357,12 +413,34 @@ _S_PATHS = ("closed_form", "generic")
 _E_PATHS = ("closed_form", "finite_difference")
 
 
+class _Record:
+    """What the scalar routes read at one (model, v) that does not depend on y.
+
+    ``bn`` = br[-1], so that [v, y]_m = c (y @ bn); ``pt`` = c bn, whose row i
+    is [v, v_i]_m, with ``live`` false where [v, .]_m = 0, and E's constants
+    ``sym`` = Pt + Pt^T and ``col`` = c Pt[:, -1].  Built when first asked for:
+    ``tensors``, the tensor route's (r, s[-1]), so that a bracket route never
+    builds the origin tensors, and ``verdict``, the validated gate's
+    ``validate_model(model, v)``.  ``_check_spec`` makes one record per
+    (model, v), kept in ``model._records``.
+    """
+
+    __slots__ = ("bn", "pt", "live", "sym", "col", "tensors", "verdict")
+
+    def __init__(self, model: ReductiveModel, v: InvariantVector):
+        self.bn = model._brackets[-1]
+        self.pt = pt = v.c * self.bn
+        self.live = bool(pt.any())
+        self.sym, self.col = pt + pt.T, v.c * pt[:, -1]
+        self.tensors = self.verdict = None
+
+
 def _check_spec(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, mode: str,
-                path: str, paths: tuple) -> _RationalForms | None:
+                path: str, paths: tuple) -> tuple:
     """Every check that does not depend on y, in this order: ``path`` is one of
     ``paths``; the closed path has closed forms (ValueError for callables);
-    spec.b matches |v|; ``mode``.  Returns the closed forms, None on another
-    path or without Q (which the closed routes raise at s)."""
+    spec.b matches |v|; ``mode``.  Returns the closed forms (None on another
+    path or without Q, which the closed routes raise at s) and the record."""
     if path not in paths:
         raise ValueError(f"path must be {paths[0]!r} or {paths[1]!r}, got {path!r}")
     forms = None
@@ -374,8 +452,13 @@ def _check_spec(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, mod
     if abs(spec.b - v.b) > 1e-9:
         raise ValueError(f"MetricSpec.b = {spec.b} does not match |v| = {v.b}; "
                          "build the spec with MetricSpec.for_vector")
+    rec = model._records.get(v)
+    if rec is None:
+        rec = model._records[v] = _Record(model, v)
     if mode == "validated":
-        report = validate_model(model, v)
+        report = rec.verdict
+        if report is None:
+            report = rec.verdict = validate_model(model, v)
         if not report.passed:
             bad = report.failed_checks()[0]
             raise ValidatedModeError(
@@ -388,21 +471,28 @@ def _check_spec(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, mod
                 f"(min {shen.min_value:.6g} at s = {shen.argmin_s:.6g})")
     elif mode != "formal":
         raise ValueError(f"mode must be 'formal' or 'validated', got {mode!r}")
-    return forms
+    return forms, rec
 
 
 def _check_inputs(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, y,
                   mode: str, path: str, paths: tuple):
-    """``_check_spec``, then y: (y as a float array, alpha = |y|, the closed forms)."""
-    forms = _check_spec(model, v, spec, mode, path, paths)
+    """``_check_spec``, then y: (y as a float array and as a list, alpha = |y|,
+    the closed forms, the record)."""
+    forms, rec = _check_spec(model, v, spec, mode, path, paths)
     y = np.asarray(y, dtype=float)
     if y.shape != (model.m_dim,):
         raise ValueError(f"y must have {model.m_dim} components")
-    with np.errstate(over="ignore"):
-        alpha = float(np.linalg.norm(y))
+    ys = y.tolist()
+    # np.linalg.norm is sqrt(y.dot(y)); below 1e150 no |y_i| can overflow y.dot(y),
+    # and a NaN that slips past max() fails the range check as the norm's NaN would
+    if max(map(abs, ys)) < 1e150 and y.flags.c_contiguous:
+        alpha = math.sqrt(y.dot(y))
+    else:
+        with np.errstate(over="ignore"):
+            alpha = float(np.linalg.norm(y))
     if not sys.float_info.min <= alpha * alpha < math.inf:
         raise _y_error(y, alpha)
-    return y, alpha, forms
+    return y, ys, alpha, forms, rec
 
 
 def _y_error(y: np.ndarray, alpha: float) -> DomainError:
@@ -430,22 +520,25 @@ def s_curvature(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
     [v, y]_m = 0 give 0.  A family of user callables has no closed form and
     raises ValueError on the closed route, degenerate or not.
     """
-    y, alpha, forms = _check_inputs(model, v, spec, y, mode, path, _S_PATHS)
-    br = v.c * (y @ model._brackets[-1])         # [v, y]_m
-    if not br.any():
+    y, ys, alpha, forms, rec = _check_inputs(model, v, spec, y, mode, path, _S_PATHS)
+    c = v.c
+    raw = y.dot(rec.bn)                         # y @ bn, but for the sign of a zero
+    br = c * raw                                # [v, y]_m
+    if not any(br.tolist()):
         return 0.0
-    bvy_y = float(br @ y)
-    bvy_v = v.c * float(br[-1])                 # <[v, y]_m, v>
-    s = v.c * float(y[-1]) / alpha
+    bvy_y = float(br.dot(y)) + 0.0              # <[v, y]_m, y>
+    bvy_v = c * (c * (float(raw[-1]) + 0.0))    # <[v, y]_m, v>
+    s = c * ys[-1] / alpha
     if path == "generic":
         q, _, _, delta, phi_big = _generic_coefficients(spec.phi, s, spec.b, model.m_dim)
         _guard(delta, s, "Delta = 0")
         return _generic_s(q, delta, phi_big, alpha, bvy_y, bvy_v)
     if forms is None:
         raise SingularityError(_NO_Q.format(s, spec.phi.name))
-    den = _guard(_horner(forms.D, s), s, f"pole of Q ({spec.phi.name})")
-    dn = _guard(_horner(forms.DN, s), s, "Delta = 0")
-    return _closed_s(_horner(forms.N, s), den, dn, _horner(forms.PN, s), alpha, bvy_y, bvy_v)
+    num, den, dn, pn = forms.s_values_at(s)
+    _guard(den, s, f"pole of Q ({spec.phi.name})")
+    _guard(dn, s, "Delta = 0")
+    return _closed_s(num, den, dn, pn, alpha, bvy_y, bvy_v)
 
 
 # Per-row flags of _s_rows: 0 marks a regular row, the others the locus at
@@ -466,7 +559,7 @@ def _s_rows(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, Y,
     0.  ``s`` is beta/alpha per row and ``phi`` is phi(s) on the generic
     route (None on the closed route).
     """
-    forms = _check_spec(model, v, spec, mode, path, _S_PATHS)
+    forms, rec = _check_spec(model, v, spec, mode, path, _S_PATHS)
     Y = np.asarray(Y, dtype=float)
     n, b, c = model.m_dim, spec.b, v.c
     if Y.ndim != 2 or Y.shape[1] != n:
@@ -478,7 +571,7 @@ def _s_rows(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, Y,
         alpha = np.sqrt((stacked @ Y[:, :, None])[:, 0, 0])
         sq = alpha * alpha
         bad_y = ~((sq >= sys.float_info.min) & (sq < math.inf))
-        by = c * (stacked @ model._brackets[-1])[:, 0]           # [v, y]_m per row
+        by = c * (stacked @ rec.bn)[:, 0]                        # [v, y]_m per row
         live = by.any(axis=1)
         bvy_y = (by[:, None, :] @ Y[:, :, None])[:, 0, 0]
         bvy_v = c * by[:, -1]
@@ -509,10 +602,8 @@ def _s_rows(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, Y,
             loci = ((live, _ROW_PHI_D),)
         else:
             p = None
-            den = _horner(forms.D, s)
-            dn = _horner(forms.DN, s)
-            out = _closed_s(_horner(forms.N, s), den, dn, _horner(forms.PN, s),
-                            alpha, bvy_y, bvy_v)
+            num, den, dn, pn = forms.s_values_at(s)
+            out = _closed_s(num, den, dn, pn, alpha, bvy_y, bvy_v)
             loci = ((np.abs(dn) < _SING_TOL, _ROW_DELTA),
                     (np.abs(den) < _SING_TOL, _ROW_Q_POLE))
     flag = np.zeros(len(Y), dtype=np.int8)
@@ -560,13 +651,16 @@ def s_curvature_via_tensors(model: ReductiveModel, v: InvariantVector,
     with <[v,y]_m, y> = -r_00 and <[v,y]_m, v> = 2 s_0; must agree with
     ``s_curvature`` to rounding.
     """
-    y, alpha, _ = _check_inputs(model, v, spec, y, mode, "generic", _S_PATHS)
-    tensors = origin_tensors(model, v)
-    r00 = float(y @ tensors.r @ y)
-    s0 = v.c * float(tensors.s[-1] @ y)
+    y, ys, alpha, _, rec = _check_inputs(model, v, spec, y, mode, "generic", _S_PATHS)
+    if rec.tensors is None:
+        tensors = origin_tensors(model, v)
+        rec.tensors = (tensors.r, tensors.s[-1])
+    r, sn = rec.tensors
+    r00 = float(y.dot(r).dot(y)) + 0.0
+    s0 = v.c * (float(sn.dot(y)) + 0.0)
     if r00 == 0.0 and s0 == 0.0:
         return 0.0
-    s = v.c * float(y[-1]) / alpha
+    s = v.c * ys[-1] / alpha
     q, _, _, delta, phi_big = _generic_coefficients(spec.phi, s, spec.b, model.m_dim)
     _guard(delta, s, "Delta = 0")
     return _generic_s(q, delta, phi_big, alpha, -r00, 2.0 * s0)
@@ -614,7 +708,7 @@ def berwald_workspace(model: ReductiveModel, v: InvariantVector,
     Every exact profile (built-in or polynomial) carries a closed-form
     factor, derived from its Q; a family of user callables raises ValueError.
     """
-    y, alpha, forms = _check_inputs(model, v, spec, y, "formal", "closed_form", _E_PATHS)
+    y, _, alpha, forms, _ = _check_inputs(model, v, spec, y, "formal", "closed_form", _E_PATHS)
     s, s_y, s_yy = _s_derivs(v.c, y, alpha)
     w, dw, d2w = _factor_derivs(forms, s, spec.phi.name)
     return BerwaldWorkspace(s=s, alpha=alpha, factor=w, dfactor_ds=dw,
@@ -622,7 +716,7 @@ def berwald_workspace(model: ReductiveModel, v: InvariantVector,
                             y_lowered=y.copy())
 
 
-def _mean_berwald_closed(forms, name, c, pt, y, alpha) -> np.ndarray:
+def _mean_berwald_closed(forms, name, c, rec, y, alpha) -> np.ndarray:
     """Half the Hessian of the closed S, assembled at y/|y| and divided by |y|.
 
     At |y| = 1, with Pt = c br[-1] (Pt[i, j] = <[v, v_i]_m, v_j>), the
@@ -634,27 +728,34 @@ def _mean_berwald_closed(forms, name, c, pt, y, alpha) -> np.ndarray:
     G = c (y Pt)_n, r = c Pt[:, -1], (f0, f1, f2) = (W, W', W''), h1 and h2
     the first two s-derivatives of WQ, and k = f1 g + h1 G; M is symmetric
     with the entries below.  E = (H + H^T) / (4 |y|) is exactly symmetric.
+    Pt, Pt + Pt^T and r come from the record; the ten closed forms are one
+    evaluation at s.
     """
     n = len(y)
     y = y / alpha
     s = c * float(y[-1])
-    f0, f1, f2 = _factor_derivs(forms, s, name)
-    q, qp, qpp, _, _ = _closed_coefficients(forms, s, name)
+    if forms is None:
+        raise SingularityError(_NO_Q.format(s, name))
+    num, den, a, bq, *w_forms = forms.values_at(s)
+    f0, f1, f2 = _w_derivs(*w_forms, s)
+    d = _guard(den, s, f"pole of Q ({name})")
+    q, qp, qpp = num / d, a / (d * d), bq / (d * d * d)
     h1 = f1 * q + f0 * qp
     h2 = f2 * q + 2.0 * f1 * qp + f0 * qpp
+    pt = rec.pt
     yp = y @ pt                                     # [v, y]_m
     g = float(yp @ y)
     big_g = c * float(yp[-1])
     k = f1 * g + h1 * big_g
-    a = -s * y
-    a[-1] += c
-    vv = np.array((a, y, pt @ y + yp, c * pt[:, -1]))
+    sy = -s * y
+    sy[-1] += c
+    vv = np.array((sy, y, pt @ y + yp, rec.col))
     m_ay = -k - f1 * g
     m = np.array(((f2 * g + h2 * big_g, m_ay, f1, h1),
                   (m_ay, k * s + 3.0 * f0 * g, -f0, 0.0),
                   (f1, -f0, 0.0, 0.0),
                   (h1, 0.0, 0.0, 0.0)))
-    h = vv.T @ m @ vv + f0 * (pt + pt.T)
+    h = vv.T @ m @ vv + f0 * rec.sym
     h.flat[::n + 1] -= k * s + f0 * g
     return (h + h.T) / (4.0 * alpha)
 
@@ -723,12 +824,11 @@ def mean_berwald(model: ReductiveModel, v: InvariantVector, spec: MetricSpec,
     y/|y| and divide by |y|: E(lambda y) = E(y)/lambda.  Where [v, .]_m = 0
     (v = 0 included) both give exact zeros.
     """
-    y, alpha, forms = _check_inputs(model, v, spec, y, mode, path, _E_PATHS)
-    pt = v.c * model._brackets[-1]
-    if not pt.any():
+    y, _, alpha, forms, rec = _check_inputs(model, v, spec, y, mode, path, _E_PATHS)
+    if not rec.live:
         return np.zeros((model.m_dim, model.m_dim))
     if path == "closed_form":
-        return _mean_berwald_closed(forms, spec.phi.name, v.c, pt, y, alpha)
+        return _mean_berwald_closed(forms, spec.phi.name, v.c, rec, y, alpha)
     return _mean_berwald_fd(model, v, spec, y / alpha) / alpha
 
 

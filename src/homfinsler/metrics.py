@@ -17,7 +17,8 @@ that broadcasts against s.  Integer powers are written as products, whose
 every step is one correctly rounded IEEE operation on a float and on an
 array alike, so an array gives the scalar bits for every profile except the
 exponential (numpy's exp rounds independently of libm's).  A pole reads as
-inf or nan on an array, where the scalar call may raise ZeroDivisionError.
+inf or nan on an array, where the scalar call may raise ZeroDivisionError,
+and an overflowing callable entry reads as nan.
 
 The positivity criterion for F to be a genuine Finsler norm on |s| <= b is
 
@@ -92,14 +93,18 @@ class PhiFamily:
         All three derivatives must be supplied; nothing is differentiated
         automatically.  The evaluators need only accept a float: each is
         wrapped once so that it also takes an ndarray, which it is then
-        called on entry by entry, a ZeroDivisionError reading as nan.  A
-        float goes straight to the callable, so the scalar routes still see
-        its ZeroDivisionError.  The domain is checked pointwise (phi > 0 and
-        phi - s*phi' != 0).
+        called on entry by entry, a ZeroDivisionError or OverflowError
+        reading as nan.  A float goes straight to the callable, so the scalar
+        routes still see its exceptions.  The domain is checked pointwise
+        (phi > 0 and phi - s*phi' != 0); a pole (ZeroDivisionError) is
+        outside it.
         """
         def in_domain(s, phi=phi, dphi=dphi):
-            val = phi(s)
-            return val > 0.0 and val - s * dphi(s) != 0.0
+            try:
+                val = phi(s)
+                return val > 0.0 and val - s * dphi(s) != 0.0
+            except ZeroDivisionError:
+                return False
 
         phi, dphi, d2phi, d3phi = map(_entrywise, (phi, dphi, d2phi, d3phi))
         return cls(name="custom", phi=phi, dphi=dphi, d2phi=d2phi,
@@ -192,11 +197,12 @@ def _horner(c, s):
 
 
 def _entrywise(f):
-    """f on floats, and entry by entry on arrays, where a ZeroDivisionError reads nan."""
+    """f on floats, and entry by entry on arrays, where a ZeroDivisionError (a pole)
+    or an OverflowError reads nan, a non-finite entry."""
     def at(t):
         try:
             return f(t)
-        except ZeroDivisionError:
+        except (ZeroDivisionError, OverflowError):
             return math.nan
 
     def evaluate(s):

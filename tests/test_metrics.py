@@ -170,6 +170,19 @@ class TestFinslerNorm:
         with pytest.raises(DomainError, match="overflow of phi \\(custom\\) at s = 1000"):
             finsler_norm(callables, 1.0, 1000.0)
 
+    def test_pole_of_callables_is_a_domain_error(self):
+        # phi = 1/s as callables raises ZeroDivisionError at s = 0, where the
+        # exact Kropina is outside its domain; both give the same DomainError
+        kropina = PhiFamily.custom(lambda s: 1.0 / s, lambda s: -1.0 / (s * s),
+                                   lambda s: 2.0 / (s * s * s), lambda s: -6.0 / (s * s * s * s))
+        for phi, name in ((kropina, "custom"), (phi_family("kropina"), "kropina")):
+            with pytest.raises(DomainError) as info:
+                finsler_norm(MetricSpec(phi, 0.5), 1.0, 0.0)
+            assert str(info.value) == (f"s = 0 outside domain of {name} "
+                                       "(phi > 0 and phi - s*phi' != 0)")
+            assert not phi.in_domain(0.0)
+        assert finsler_norm(MetricSpec(kropina, 0.5), 1.0, 0.5) == 2.0
+
     @settings(deadline=None, max_examples=100)
     @given(lam=st.floats(1e-3, 1e3), alpha=st.floats(0.1, 10.0),
            ratio=st.floats(-0.89, 0.89))
@@ -214,6 +227,17 @@ class TestShenCheck:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             shen_check(MetricSpec(phi_family("randers"), 0.5), samples=2)
+
+    def test_overflowing_callables_are_singular_points(self):
+        # math.exp overflows past s = 709.78, and the criterion e^s (1 - s + b^2 - s^2)
+        # from s = 704 on the grid: those points are recorded, not raised
+        phi = PhiFamily.custom(math.exp, math.exp, math.exp, math.exp)
+        report = shen_check(MetricSpec(phi, 800.0))
+        assert not report.holds
+        assert report.singular_points == tuple(np.arange(704.0, 801.0, 8.0).tolist())
+        assert np.isnan(phi.phi(np.array([0.0, 800.0]))).tolist() == [False, True]
+        with pytest.raises(OverflowError):      # a float still reaches the callable
+            phi.phi(800.0)
 
     def test_narrow_dip_between_grid_points(self):
         # the criterion of this cubic is -1e-6 at s = 0.0025 and positive on

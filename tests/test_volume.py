@@ -182,6 +182,14 @@ class TestVolumeCoefficient:
         f = volume_coefficient(phi_family("exponential"), 0.9, 3, "ht", mode="validated")
         assert f == volume_coefficient(phi_family("exponential"), 0.9, 3, "ht")
 
+    @pytest.mark.parametrize("form", ["bh", "ht"])
+    def test_overflowing_callables_are_a_quadrature_error(self, form):
+        phi = PhiFamily.custom(math.exp, math.exp, math.exp, math.exp)
+        with pytest.raises(QuadratureError, match=f"{form} integrand not finite"):
+            volume_coefficient(phi, 800.0, 3, form)
+        with pytest.raises(ValidatedModeError, match="custom"):
+            volume_coefficient(phi, 800.0, 3, form, mode="validated")
+
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="n must"):
             volume_coefficient(RIEMANNIAN, 0.5, 1, "bh")
