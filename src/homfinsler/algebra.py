@@ -359,6 +359,23 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
 
+def _check_residuals(model: ReductiveModel, v: InvariantVector | None = None) -> tuple:
+    """(name, residual) for each of ``validate_model``'s checks, in its order.
+
+    The four v-independent residuals come from the model's cache; the
+    v-invariance residual is one contraction per call.
+    """
+    if v is not None and v.coords.shape != (model.m_dim,):
+        raise ValueError("invariant vector has wrong dimension for this model")
+    h = model.h_dim
+    inv_v = 0.0
+    if h and v is not None and v.c > 0.0:
+        zv = np.tensordot(v.coords, model.structure.tensor[:h, h:, h:], axes=(0, 1))
+        inv_v = float(np.max(np.abs(zv)))
+    return tuple(zip(("antisymmetry", "jacobi", "reductivity", "inner_product_invariance",
+                      "v_invariance"), model._residuals + (inv_v,)))
+
+
 def validate_model(model: ReductiveModel, v: InvariantVector | None = None) -> ValidationReport:
     """Run the named structural checks and report max residuals.
 
@@ -368,18 +385,9 @@ def validate_model(model: ReductiveModel, v: InvariantVector | None = None) -> V
     quantify over h are vacuously true when h_dim = 0.  The first four are
     computed once per model; a check passes at residual <= DEFAULT_TOL.
     """
-    if v is not None and v.coords.shape != (model.m_dim,):
-        raise ValueError("invariant vector has wrong dimension for this model")
-    h = model.h_dim
-    inv_v = 0.0
-    if h and v is not None and v.c > 0.0:
-        zv = np.tensordot(v.coords, model.structure.tensor[:h, h:, h:], axes=(0, 1))
-        inv_v = float(np.max(np.abs(zv)))
     return ValidationReport(checks=tuple(
         CheckResult(name, residual <= DEFAULT_TOL, residual, DEFAULT_TOL)
-        for name, residual in zip(("antisymmetry", "jacobi", "reductivity",
-                                   "inner_product_invariance", "v_invariance"),
-                                  model._residuals + (inv_v,))))
+        for name, residual in _check_residuals(model, v)))
 
 
 # ---------------------------------------------------------------------------

@@ -50,14 +50,16 @@ A scalar call does per-direction work only.  What depends on (model, v)
 alone is one record per (model, v), kept in ``model._records`` (``_Record``):
 br[-1]; Pt = c br[-1] with a flag for [v, .]_m = 0; closed E's Pt + Pt^T and
 c Pt[:, -1]; and, built when first asked for, the tensor route's r and s[-1]
-and the validated gate's ``validate_model`` verdict.  Per direction a call
-takes alpha = sqrt(y.dot(y)) (under numpy's overflow guard only when some
-|y_i| >= 1e150), [v, y]_m, its two contractions and s, then the coefficients
-at s: phi and its derivatives on the generic routes, or the closed forms
-N, D, DN, PN (all ten for E) from one compiled Horner evaluation.  The S
-routes' vector products use ``ndarray.dot``, which matmul equals but for the
-sign of a zero sum (matmul adds the sum to +0.0); a ``+ 0.0`` restores that
-sign, so every value keeps its bits.
+and the validated gate's model verdict.  The gate's Shen verdict is the
+spec's ``_shen``, which a public ``shen_check`` at its default grid leaves
+there, so a space that the caller has already checked is not checked again.
+Per direction a call takes alpha = sqrt(y.dot(y)) (under numpy's overflow
+guard only when some |y_i| >= 1e150), [v, y]_m, its two contractions and s,
+then the coefficients at s: phi and its derivatives on the generic routes,
+or the closed forms N, D, DN, PN (all ten for E) from one compiled Horner
+evaluation.  The vector products of S and closed E use ``ndarray.dot``,
+which matmul equals but for the sign of a zero sum (matmul adds the sum to
++0.0); a ``+ 0.0`` restores that sign, so every value keeps its bits.
 """
 
 from __future__ import annotations
@@ -72,10 +74,11 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .algebra import (
+    DEFAULT_TOL,
     InvariantVector,
     ReductiveModel,
+    _check_residuals,
     origin_tensors,
-    validate_model,
 )
 from .errors import DomainError, FinslerError, SingularityError, ValidatedModeError
 from .metrics import ExactProfile, MetricSpec, PhiFamily, phi_family
@@ -420,9 +423,12 @@ class _Record:
     is [v, v_i]_m, with ``live`` false where [v, .]_m = 0, and E's constants
     ``sym`` = Pt + Pt^T and ``col`` = c Pt[:, -1].  Built when first asked for:
     ``tensors``, the tensor route's (r, s[-1]), so that a bracket route never
-    builds the origin tensors, and ``verdict``, the validated gate's
-    ``validate_model(model, v)``.  ``_check_spec`` makes one record per
-    (model, v), kept in ``model._records``.
+    builds the origin tensors, and ``verdict``, the validated gate's model
+    verdict: '' when every check of ``validate_model(model, v)`` passes,
+    else the refusal naming the first that fails.  It is taken from the
+    model's cached residuals and the v-invariance residual, with no
+    ``ValidationReport``.  ``_check_spec`` makes one record per (model, v),
+    kept in ``model._records``.
     """
 
     __slots__ = ("bn", "pt", "live", "sym", "col", "tensors", "verdict")
@@ -449,21 +455,20 @@ def _check_spec(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, mod
             raise ValueError(f"no closed-form coefficients for family {spec.phi.name!r} (user "
                              "callables have no exact form); use the generic path")
         forms = _rational_forms(spec.phi.exact, spec.b, model.m_dim)
-    if abs(spec.b - v.b) > 1e-9:
+    if not abs(spec.b - v.b) <= 1e-9:           # a NaN is refused
         raise ValueError(f"MetricSpec.b = {spec.b} does not match |v| = {v.b}; "
                          "build the spec with MetricSpec.for_vector")
     rec = model._records.get(v)
     if rec is None:
         rec = model._records[v] = _Record(model, v)
     if mode == "validated":
-        report = rec.verdict
-        if report is None:
-            report = rec.verdict = validate_model(model, v)
-        if not report.passed:
-            bad = report.failed_checks()[0]
-            raise ValidatedModeError(
-                f"validated mode: model check {bad.name!r} failed "
-                f"(residual {bad.residual:.3g} > {bad.tolerance:.3g})")
+        if rec.verdict is None:
+            rec.verdict = next((f"validated mode: model check {name!r} failed "
+                                f"(residual {residual:.3g} > {DEFAULT_TOL:.3g})"
+                                for name, residual in _check_residuals(model, v)
+                                if not residual <= DEFAULT_TOL), "")
+        if rec.verdict:
+            raise ValidatedModeError(rec.verdict)
         shen = spec._shen
         if not shen.holds:
             raise ValidatedModeError(
@@ -743,13 +748,14 @@ def _mean_berwald_closed(forms, name, c, rec, y, alpha) -> np.ndarray:
     h1 = f1 * q + f0 * qp
     h2 = f2 * q + 2.0 * f1 * qp + f0 * qpp
     pt = rec.pt
-    yp = y @ pt                                     # [v, y]_m
-    g = float(yp @ y)
+    # ndarray.dot with + 0.0 gives matmul's bits, as on the S routes
+    yp = y.dot(pt) + 0.0                            # [v, y]_m
+    g = float(yp.dot(y)) + 0.0
     big_g = c * float(yp[-1])
     k = f1 * g + h1 * big_g
     sy = -s * y
     sy[-1] += c
-    vv = np.array((sy, y, pt @ y + yp, rec.col))
+    vv = np.array((sy, y, (pt.dot(y) + 0.0) + yp, rec.col))
     m_ay = -k - f1 * g
     m = np.array(((f2 * g + h2 * big_g, m_ay, f1, h1),
                   (m_ay, k * s + 3.0 * f0 * g, -f0, 0.0),

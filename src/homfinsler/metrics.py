@@ -220,6 +220,12 @@ def phi_family(name: str) -> PhiFamily:
     return _exact_family(name, *_BUILTINS[name])
 
 
+def _check_b(b: float) -> None:
+    """Refuse a 1-form length b that is not finite and >= 0 (NaN included)."""
+    if not 0.0 <= b < math.inf:
+        raise ValueError(f"b must be finite and nonnegative, got {b}")
+
+
 @dataclass(frozen=True)
 class MetricSpec:
     """A profile phi paired with the (constant) 1-form length b."""
@@ -228,8 +234,7 @@ class MetricSpec:
     b: float
 
     def __post_init__(self):
-        if self.b < 0.0:
-            raise ValueError("b must be nonnegative")
+        _check_b(self.b)
 
     @classmethod
     def for_vector(cls, phi: PhiFamily, v) -> "MetricSpec":
@@ -240,7 +245,12 @@ class MetricSpec:
 
     @functools.cached_property
     def _shen(self) -> "ShenReport":
-        """shen_check(self), once per spec for validated mode (phi must be pure)."""
+        """The validated gate's verdict, shen_check(self), once per spec (phi must be pure).
+
+        The first ``shen_check(self)`` at the default 201 samples leaves its
+        report here, so the gate reuses a check that the caller has made; a
+        ``dataclasses.replace``d spec starts without one.
+        """
         return shen_check(self)
 
 
@@ -285,6 +295,10 @@ def shen_check(spec: MetricSpec, samples: int = 201) -> ShenReport:
     Where the grid holds for an exact profile, the points where phi or the
     criterion can change sign between grid points are appended (see
     ``_sign_change_points``), and the report covers the combined set.
+
+    Every call computes a fresh report.  At the default 201 samples the
+    first one is also kept on the spec as its validated-mode verdict
+    (``MetricSpec._shen``); other sample counts leave the spec as it is.
     """
     if samples < 3:
         raise ValueError("samples must be >= 3")
@@ -294,7 +308,11 @@ def shen_check(spec: MetricSpec, samples: int = 201) -> ShenReport:
         grid = np.sort(np.append(grid, 0.0))
     report = _shen_report(spec.phi, b, grid)
     extra = _sign_change_points(spec.phi.exact, b) if report.holds and spec.phi.exact else []
-    return _shen_report(spec.phi, b, np.concatenate([grid, extra])) if extra else report
+    if extra:
+        report = _shen_report(spec.phi, b, np.concatenate([grid, extra]))
+    if samples == 201:
+        vars(spec).setdefault("_shen", report)
+    return report
 
 
 def _sign_change_points(exact: ExactProfile, b: float) -> list:

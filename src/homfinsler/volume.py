@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import QuadratureError, ValidatedModeError
-from .metrics import MetricSpec, PhiFamily, shen_check
+from .metrics import MetricSpec, PhiFamily, _check_b, shen_check
 
 __all__ = [
     "t_function",
@@ -117,9 +117,10 @@ def volume_coefficient(phi: PhiFamily, b: float, n: int, form: str,
     In validated mode F = alpha*phi(s) must be a Finsler metric for |s| <= b:
     the call is refused exactly when ``shen_check`` on (phi, b) fails, as in
     the validated curvature routes.  The formal mode attempts the quadrature
-    regardless.  ``nodes`` is the size of the first rule; QuadratureError is
-    raised when the factor has not settled after four doublings, which is
-    how non-integrable profiles surface.
+    regardless.  In either mode b must be finite and nonnegative (the
+    ValueError of ``MetricSpec``).  ``nodes`` is the size of the first rule;
+    QuadratureError is raised when the factor has not settled after four
+    doublings, which is how non-integrable profiles surface.
     """
     if n < 2:
         raise ValueError("dimension n must be >= 2")
@@ -129,6 +130,7 @@ def volume_coefficient(phi: PhiFamily, b: float, n: int, form: str,
         raise ValueError(f"mode must be 'formal' or 'validated', got {mode!r}")
     if nodes < 1:
         raise ValueError(f"nodes must be >= 1, got {nodes}")
+    _check_b(b)
     if mode == "validated":
         shen = shen_check(MetricSpec(phi, b))
         if not shen.holds:

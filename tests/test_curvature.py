@@ -204,6 +204,14 @@ class TestSCurvature:
         with pytest.raises(ValueError, match="does not match"):
             s_curvature(e.model, e.v, MetricSpec(phi_family("exponential"), 0.3),
                         [1.0, 0.0])
+        # a NaN |v| matches no b; every route returned nan from it
+        nan_v = InvariantVector(coords=e.v.coords, c=e.v.c, b=math.nan)
+        spec = MetricSpec(phi_family("exponential"), e.v.b)
+        for call in (lambda: s_curvature(e.model, nan_v, spec, [1.0, 0.5]),
+                     lambda: s_curvature(e.model, nan_v, spec, [1.0, 0.5], path="generic"),
+                     lambda: mean_berwald(e.model, nan_v, spec, [1.0, 0.5])):
+            with pytest.raises(ValueError, match="does not match"):
+                call()
         # an unknown path or mode is refused alike by every entry, and also
         # at v = 0, where no route has anything to compute
         zero_v = InvariantVector.from_coords(e.model, [0.0, 0.0])

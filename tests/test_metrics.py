@@ -146,6 +146,19 @@ class TestMetricSpec:
         with pytest.raises(ValueError):
             MetricSpec(phi_family("randers"), -0.1)
 
+    @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf, -0.1])
+    def test_b_must_be_finite_and_nonnegative(self, b):
+        # a NaN passed the old b < 0 test, and an infinite b made shen_check's
+        # grid warn
+        with pytest.raises(ValueError, match=f"b must be finite and nonnegative, got {b}"):
+            MetricSpec(phi_family("randers"), b)
+
+        class NanV:
+            b = math.nan
+
+        with pytest.raises(ValueError, match="b must be finite"):
+            MetricSpec.for_vector(phi_family("randers"), NanV())
+
 
 class TestFinslerNorm:
     def test_spot_values(self):

@@ -7,13 +7,14 @@ bits, or the same exception type and message, on every input.
 """
 
 import dataclasses
+import itertools
 import math
 import sys
 
 import numpy as np
 import pytest
 
-from conftest import space_cases, space_of
+from conftest import make_model, similitude, space_cases, space_of
 
 from homfinsler import (
     MetricSpec,
@@ -25,9 +26,10 @@ from homfinsler import (
     phi_family,
     s_curvature,
     s_curvature_via_tensors,
+    shen_check,
     validate_model,
 )
-from homfinsler import algebra, curvature
+from homfinsler import algebra, curvature, metrics
 from homfinsler.curvature import _generic_coefficients, _guard, _rational_forms
 from homfinsler.errors import DomainError, SingularityError, ValidatedModeError
 from homfinsler.metrics import _horner
@@ -350,14 +352,16 @@ class TestRecord:
         assert model._records[v] is not copy._records[v]
 
     def test_validated_gate_validates_once_per_model_and_vector(self, monkeypatch):
+        # the gate takes its model verdict from the helper that validate_model
+        # also uses, once per record
         calls = []
-        real = curvature.validate_model
+        real = curvature._check_residuals
 
         def counting(model, v=None):
             calls.append((model, v))
             return real(model, v)
 
-        monkeypatch.setattr(curvature, "validate_model", counting)
+        monkeypatch.setattr(curvature, "_check_residuals", counting)
         model, v = _fresh_heisenberg()
         spec = MetricSpec.for_vector(phi_family("exponential"), v)
         y = np.array([1.0, 0.7, 0.4])
@@ -406,3 +410,118 @@ class TestOneEvaluationPerS:
             forms.values_at(0.1)
             forms.s_values_at(0.1)
         assert curvature._horner_code.cache_info().misses == before
+
+
+# ---------------------------------------------------------------------------
+# the validated gate
+# ---------------------------------------------------------------------------
+
+# one model per check of validate_model, failing that check alone
+_BROKEN = {
+    "antisymmetry": lambda: make_model(3, {(0, 1, 2): 1.0, (1, 0, 2): 0.5},
+                                       v=[0.5, 0.0, 0.0], strict=False),
+    "jacobi": lambda: similitude(2, 0.7, twin=True),
+    # [h, m] reaches h
+    "reductivity": lambda: make_model(3, {(0, 1, 0): 1.0, (1, 2, 2): 1.0}, h_dim=1, v=[0.0, 0.5]),
+    # ad(h) is not skew on m
+    "inner_product_invariance": lambda: make_model(3, {(0, 1, 2): 1.0, (1, 2, 2): 1.0},
+                                                   h_dim=1, v=[0.0, 0.5]),
+    # h rotates the (e1, e2) plane of a Heisenberg m, and v = e1 / 2 with it
+    "v_invariance": lambda: make_model(4, {(0, 1, 2): 1.0, (0, 2, 1): -1.0, (1, 2, 3): 1.0},
+                                       h_dim=1, v=[0.5, 0.0, 0.0]),
+}
+
+
+def _gate_cases():
+    cases = space_cases()
+    cases += [pytest.param(make, id=f"broken_{name}") for name, make in _BROKEN.items()]
+    return cases
+
+
+def _gate_calls(e_path):
+    """The public checks and the validated routes, as (name, call, reference) on
+    (model, v, spec, y)."""
+    def e(new):
+        return lambda *a: new(*a, path=e_path, mode="validated")
+    return (
+        ("validate_model", lambda m, v, spec, y: validate_model(m, v),
+         lambda m, v, spec, y: validate_model(m, v)),
+        ("shen_check", lambda m, v, spec, y: shen_check(spec),
+         lambda m, v, spec, y: shen_check(spec)),
+        ("generic S", lambda *a: s_curvature(*a, path="generic", mode="validated"),
+         lambda *a: ref_s_curvature(*a, path="generic", mode="validated")),
+        ("tensor S", lambda *a: s_curvature_via_tensors(*a, mode="validated"),
+         lambda *a: ref_s_via_tensors(*a, mode="validated")),
+        (f"{e_path} E", e(mean_berwald), e(ref_mean_berwald)),
+    )
+
+
+class TestValidatedGate:
+    @pytest.mark.parametrize("case", _gate_cases())
+    def test_every_call_order_matches_the_reference(self, case):
+        # every order of the public checks and the validated routes, each on a
+        # fresh model and spec; the families and the E route take turns
+        sp = space_of(case)
+        n = sp.model.m_dim
+        y = np.random.default_rng([n, 13]).standard_normal(n)
+        families = list(_families().values())
+        want = {}
+        for k, order in enumerate(itertools.permutations(range(5))):
+            phi = families[k % len(families)]
+            e_path = "finite_difference" if k % 2 else "closed_form"
+            calls = _gate_calls(e_path)
+            base = MetricSpec.for_vector(phi, sp.v)
+            if (phi, e_path) not in want:
+                ref_model, ref_spec = dataclasses.replace(sp.model), dataclasses.replace(base)
+                want[phi, e_path] = [outcome(ref, ref_model, sp.v, ref_spec, y)
+                                     for _, _, ref in calls]
+            model, spec = dataclasses.replace(sp.model), dataclasses.replace(base)
+            for i in order:
+                name, new, _ = calls[i]
+                assert outcome(new, model, sp.v, spec, y) == want[phi, e_path][i], (order, name)
+
+    @pytest.mark.parametrize("name", sorted(_BROKEN))
+    def test_each_broken_model_is_refused_for_its_check(self, name):
+        model, v = _BROKEN[name]()
+        (bad,) = validate_model(model, v).failed_checks()
+        assert bad.name == name
+        spec = MetricSpec.for_vector(phi_family("exponential"), v)
+        y = np.resize([1.0, 0.7, 0.4], model.m_dim)
+        with pytest.raises(ValidatedModeError, match=f"model check '{name}' failed"):
+            s_curvature(model, v, spec, y, path="generic", mode="validated")
+
+    @pytest.mark.parametrize("name", sorted(_families()))
+    def test_public_checks_first_run_each_check_once(self, name, monkeypatch):
+        grids, jacobi = [], []
+        real_grid, real_jacobi = metrics._shen_report, StructureConstants.jacobi_residual
+        monkeypatch.setattr(metrics, "_shen_report",
+                            lambda *a: grids.append(a) or real_grid(*a))
+        monkeypatch.setattr(StructureConstants, "jacobi_residual",
+                            lambda self: jacobi.append(self) or real_jacobi(self))
+        model, v = _fresh_heisenberg()
+        spec = MetricSpec.for_vector(_families()[name], v)
+        y = np.array([1.0, 0.7, 0.4])
+        validate_model(model, v)
+        report = shen_check(spec)
+        first = len(grids)
+        assert first and len(jacobi) == 1
+        e_path = "closed_form" if spec.phi.exact else "finite_difference"
+        for _ in range(3):
+            outcome(s_curvature, model, v, spec, y, path="generic", mode="validated")
+            outcome(s_curvature_via_tensors, model, v, spec, y, mode="validated")
+            outcome(mean_berwald, model, v, spec, y, path=e_path, mode="validated")
+        assert len(grids) == first and len(jacobi) == 1
+        assert spec._shen is report
+
+    def test_public_shen_check_seeds_only_at_its_default_grid(self):
+        _, v = _fresh_heisenberg()
+        spec = MetricSpec.for_vector(phi_family("exponential"), v)
+        shen_check(spec, samples=3)
+        shen_check(spec, samples=401)
+        assert "_shen" not in vars(spec)
+        report = shen_check(spec)
+        assert vars(spec)["_shen"] is report
+        # later calls compute a fresh report and leave the verdict as it is
+        again = shen_check(spec)
+        assert again is not report and again == report and spec._shen is report
+        assert "_shen" not in vars(dataclasses.replace(spec))

@@ -200,6 +200,14 @@ class TestVolumeCoefficient:
         with pytest.raises(ValueError, match="nodes"):
             volume_coefficient(RIEMANNIAN, 0.5, 3, "ht", nodes=0)
 
+    @pytest.mark.parametrize("b", [-0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("mode", ["formal", "validated"])
+    def test_b_is_checked_alike_in_both_modes(self, b, mode):
+        # formal mode integrated at b = -0.5 (0.5625 for Randers bh) and ran
+        # the quadrature into a QuadratureError at b = nan
+        with pytest.raises(ValueError, match=f"b must be finite and nonnegative, got {b}"):
+            volume_coefficient(phi_family("randers"), b, 3, "bh", mode=mode)
+
 
 class TestVolumeCoefficients:
     def test_bh_ht_differ_for_nonriemannian(self):
