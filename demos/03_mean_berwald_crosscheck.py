@@ -34,10 +34,5 @@ e1 = hf.mean_berwald(model, v, spec, y)
 e2 = hf.mean_berwald(model, v, spec, 2.0 * y)
 print("max |E(2y) - E(y)/2| =", np.max(np.abs(e2 - e1 / 2.0)))
 
-# The workspace exposes the intermediates if you want to inspect them.
-# W = Phi/(2 Delta^2) carries the sign of S: negative here for the
-# exponential profile.
-ws = hf.berwald_workspace(model, v, spec, y)
-print(f"s = {ws.s:.6f}, W = {ws.factor:.6f}, dW/ds = {ws.dfactor_ds:.6f}, "
-      f"d2W/ds2 = {ws.d2factor_ds2:.6f}")
-print("Euler check s_y . y =", float(ws.s_y @ y), "(degree-0 homogeneity of s)")
+# S is homogeneous of degree 1 in y, so its Hessian annihilates y (Euler).
+print("max |E(y) y| =", np.max(np.abs(e1 @ y)))

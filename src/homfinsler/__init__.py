@@ -3,8 +3,8 @@
 The package computes the S-curvature and the mean Berwald curvature at the
 origin of a reductive homogeneous space described by Lie-algebra structure
 constants, for metrics F = alpha * phi(beta/alpha).  Closed-form evaluation
-routes for the infinite-series and exponential profiles are cross-checked
-against a generic route and numerical oracles.
+routes, for every exact profile (the five built-ins and the polynomials), are
+cross-checked against a generic route and numerical oracles.
 """
 
 from .algebra import (
@@ -16,18 +16,15 @@ from .algebra import (
     ValidationReport,
     bracket_m,
     build_model,
-    christoffel_origin,
     orthonormal_frame,
     origin_tensors,
     validate_model,
 )
 from .catalog import CatalogEntry, get as catalog_get, names as catalog_names
 from .curvature import (
-    BerwaldWorkspace,
     CoefficientBundle,
     IsotropyReport,
     TranscriptionAudit,
-    berwald_workspace,
     coefficients_exponential,
     coefficients_generic,
     coefficients_infinite_series,
@@ -52,7 +49,6 @@ from .volume import t_function, volume_coefficient
 __version__ = "0.1.0"
 
 __all__ = [
-    "BerwaldWorkspace",
     "CatalogEntry",
     "CheckResult",
     "CoefficientBundle",
@@ -72,12 +68,10 @@ __all__ = [
     "TranscriptionAudit",
     "ValidatedModeError",
     "ValidationReport",
-    "berwald_workspace",
     "bracket_m",
     "build_model",
     "catalog_get",
     "catalog_names",
-    "christoffel_origin",
     "coefficients_exponential",
     "coefficients_generic",
     "coefficients_infinite_series",

@@ -35,7 +35,6 @@ __all__ = [
     "orthonormal_frame",
     "validate_model",
     "bracket_m",
-    "christoffel_origin",
     "origin_tensors",
 ]
 
@@ -239,18 +238,6 @@ class ReductiveModel:
                 self.structure.jacobi_residual(), red, inv_ip)
 
     @functools.cached_property
-    def _origin(self) -> tuple:
-        """(gamma, r1, s1): the origin tensors at c = 1, once per model (read-only).
-
-        ``origin_tensors`` scales r1 and s1 by c = |v|; gamma does not depend on v.
-        """
-        br = self._brackets
-        rn = br[-1]
-        upper = np.triu(0.5 * br[:, :, -1], 1)
-        return (_readonly(_christoffel(br)), _readonly(-0.5 * (rn + rn.T)),
-                _readonly(upper - upper.T))
-
-    @functools.cached_property
     def _records(self) -> dict:
         """The curvature routes' y-independent data, one record per invariant vector.
 
@@ -396,44 +383,25 @@ def validate_model(model: ReductiveModel, v: InvariantVector | None = None) -> V
 
 @dataclass(frozen=True)
 class OriginTensors:
-    """Connection and 1-form derivative tensors at the origin.
+    """The 1-form derivative tensors at the origin: r symmetric and s
+    antisymmetric by construction."""
 
-    gamma[l, i, j] is symmetric in (i, j); r is symmetric and s antisymmetric
-    by construction.
-    """
-
-    gamma: np.ndarray = field(repr=False)
     r: np.ndarray = field(repr=False)
     s: np.ndarray = field(repr=False)
 
 
-def _christoffel(br: np.ndarray) -> np.ndarray:
-    """gamma from the frame bracket tensor: the i >= j half, mirrored."""
-    full = 0.5 * (-br.transpose(2, 0, 1) + br + br.transpose(0, 2, 1))
-    return np.where(np.tri(br.shape[0], dtype=bool), full, full.transpose(0, 2, 1))
-
-
-def christoffel_origin(model: ReductiveModel) -> np.ndarray:
-    """Connection coefficients of the frame at the origin.
-
-    gamma[l, i, j] for i >= j is
-        (1/2) * (-<[v_i, v_j]_m, v_l> + <[v_l, v_i]_m, v_j> + <[v_l, v_j]_m, v_i>)
-    and the i < j entries mirror the i > j ones (torsion-free symmetry).
-    """
-    return model._origin[0]
-
-
 def origin_tensors(model: ReductiveModel, v: InvariantVector) -> OriginTensors:
-    """All origin tensors derived from the brackets of the frame with v.
+    """The origin tensors derived from the brackets of the frame with v.
 
     With v = 0 every 1-form derived tensor is zero (Riemannian degeneration).
     s[i, j] = (c/2) <[v_i, v_j]_m, v_n> is built exactly antisymmetric and
     r[i, j] = -(c/2)(<[v_n, v_i]_m, v_j> + <[v_n, v_j]_m, v_i>) exactly
     symmetric.
     """
-    gamma, r1, s1 = model._origin
     if v.c == 0.0:
         n = model.m_dim
-        return OriginTensors(gamma=gamma, r=np.zeros((n, n)), s=np.zeros((n, n)))
-    return OriginTensors(gamma=gamma, r=v.c * r1, s=v.c * s1)
-
+        return OriginTensors(r=np.zeros((n, n)), s=np.zeros((n, n)))
+    br = model._brackets
+    rn = br[-1]
+    upper = np.triu(0.5 * br[:, :, -1], 1)
+    return OriginTensors(r=v.c * (-0.5 * (rn + rn.T)), s=v.c * (upper - upper.T))

@@ -49,6 +49,13 @@ _MODES = ("formal", "validated")
 # space configuration files
 # ---------------------------------------------------------------------------
 
+def _integer(x) -> int:
+    """int(x), refusing a float with a fractional part rather than truncating it."""
+    if isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
 @dataclass
 class SpaceConfig:
     """Parsed space description (JSON file schema, 0-based indices)."""
@@ -70,31 +77,20 @@ class SpaceConfig:
             if key not in data:
                 raise ConfigError(f"space config missing key {key!r}")
         try:
-            dim_g = int(data["dim_g"])
-            h_dim = int(data["h_dim"])
-            structure = [[int(i), int(j), int(k), float(val)]
+            dim_g = _integer(data["dim_g"])
+            h_dim = _integer(data["h_dim"])
+            structure = [[_integer(i), _integer(j), _integer(k), float(val)]
                          for i, j, k, val in data.get("structure", [])]
             inner_product = [float(x) for x in data["inner_product"]]
             v = [float(x) for x in data["v"]]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed space config: {exc}") from None
+        metric = data.get("metric")
+        if metric is not None and not isinstance(metric, dict):
+            raise ConfigError(f"space config 'metric' must be an object, got {metric!r}")
         return cls(dim_g=dim_g, h_dim=h_dim, structure=structure,
-                   inner_product=inner_product, v=v,
-                   metric=data.get("metric"),
+                   inner_product=inner_product, v=v, metric=metric,
                    mode=str(data.get("mode", "formal")))
-
-    def to_dict(self) -> dict:
-        out = {
-            "dim_g": self.dim_g,
-            "h_dim": self.h_dim,
-            "structure": [list(row) for row in self.structure],
-            "inner_product": list(self.inner_product),
-            "v": list(self.v),
-            "mode": self.mode,
-        }
-        if self.metric is not None:
-            out["metric"] = self.metric
-        return out
 
     @classmethod
     def from_file(cls, path: str) -> "SpaceConfig":
@@ -103,7 +99,7 @@ class SpaceConfig:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read space config {path!r}: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:   # not UTF-8, not JSON, too deep
             raise ConfigError(f"invalid JSON in {path!r}: {exc}") from None
         return cls.from_dict(data)
 
@@ -387,6 +383,8 @@ def _cmd_scan(args, out):
             f"for {' and '.join(sorted(_EXPANDED))}; got family {spec.phi.name!r}")
     if args.grid < 1:
         raise ConfigError("--grid must be at least 1")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     n = model.m_dim
     dirs = unit_directions(n, args.grid, np.random.default_rng(args.seed))
     closed = _s_rows(model, v, spec, dirs, "closed_form", mode)

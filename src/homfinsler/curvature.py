@@ -68,7 +68,7 @@ import functools
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -85,7 +85,6 @@ from .metrics import ExactProfile, MetricSpec, PhiFamily, phi_family
 
 __all__ = [
     "CoefficientBundle",
-    "BerwaldWorkspace",
     "IsotropyReport",
     "TranscriptionAudit",
     "coefficients_generic",
@@ -93,7 +92,6 @@ __all__ = [
     "coefficients_exponential",
     "s_curvature",
     "s_curvature_via_tensors",
-    "berwald_workspace",
     "mean_berwald",
     "isotropy_test",
     "transcription_audit",
@@ -284,18 +282,6 @@ def coefficients_exponential(s: float, b: float, n: int) -> CoefficientBundle:
     return CoefficientBundle(s, b, n, *_closed_coefficients(forms, s, "exponential"))
 
 
-def _factor_derivs(forms: _RationalForms | None, s: float, name: str):
-    """W(s) = PN/(2 DN^2) with dW/ds and d2W/ds2 by the quotient rule; no Q raises at s.
-
-    These derivatives are derived directly from the rational function and are
-    the authoritative route; see ``transcription_audit`` for the comparison
-    against the pre-expanded polynomial tables.
-    """
-    if forms is None:
-        raise SingularityError(_NO_Q.format(s, name))
-    return _w_derivs(*forms.values_at(s)[4:], s)
-
-
 def _w_derivs(den, den1, den2, num, num1, num2, s):
     """(W, W', W'') from DN, DN', DN'' (den...) and PN, PN', PN'' (num...) at s;
     Delta = 0 raises."""
@@ -398,7 +384,7 @@ def transcription_audit(family: str, b: float = 0.5, n: int = 3,
         _, den, dn, _ = forms.s_values_at(s)
         if abs(dn) < 0.05 or abs(den) < 0.1:
             continue
-        _, dw, d2w = _factor_derivs(forms, s, family)
+        _, dw, d2w = _w_derivs(*forms.values_at(s)[4:], s)
         max1 = max(max1, abs(sign * d1_table(s, b, n) - dw) / (1.0 + abs(dw)))
         max2 = max(max2, abs(sign * d2_table(s, b, n) - d2w) / (1.0 + abs(d2w)))
         used += 1
@@ -674,52 +660,6 @@ def s_curvature_via_tensors(model: ReductiveModel, v: InvariantVector,
 # ---------------------------------------------------------------------------
 # mean Berwald curvature
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BerwaldWorkspace:
-    """Intermediates of the closed-form E assembly at one (model, v, y).
-
-    ``factor`` is W(s) = Phi/(2 Delta^2) with its first two s-derivatives;
-    ``s_y`` and ``s_yy`` are the y-derivatives of s = beta/alpha in the
-    origin frame (where the lowered index is trivial: y_i = y^i).
-    """
-
-    s: float
-    alpha: float
-    factor: float
-    dfactor_ds: float
-    d2factor_ds2: float
-    s_y: np.ndarray = field(repr=False)
-    s_yy: np.ndarray = field(repr=False)
-    y_lowered: np.ndarray = field(repr=False)
-
-
-def _s_derivs(c: float, y: np.ndarray, alpha: float):
-    """s = c y_n / alpha with its gradient and Hessian in y."""
-    s = c * float(y[-1]) / alpha
-    b_vec = np.zeros(len(y))
-    b_vec[-1] = c
-    s_y = (b_vec * alpha - s * y) / (alpha * alpha)
-    s_yy = (-(np.outer(b_vec, y) + np.outer(y, b_vec)) * alpha
-            + 3.0 * s * np.outer(y, y) - alpha * alpha * s * np.eye(len(y))
-            ) / (alpha * alpha * alpha * alpha)
-    return s, s_y, s_yy
-
-
-def berwald_workspace(model: ReductiveModel, v: InvariantVector,
-                      spec: MetricSpec, y) -> BerwaldWorkspace:
-    """Populate the scalar factor and the s-derivative arrays for E.
-
-    Every exact profile (built-in or polynomial) carries a closed-form
-    factor, derived from its Q; a family of user callables raises ValueError.
-    """
-    y, _, alpha, forms, _ = _check_inputs(model, v, spec, y, "formal", "closed_form", _E_PATHS)
-    s, s_y, s_yy = _s_derivs(v.c, y, alpha)
-    w, dw, d2w = _factor_derivs(forms, s, spec.phi.name)
-    return BerwaldWorkspace(s=s, alpha=alpha, factor=w, dfactor_ds=dw,
-                            d2factor_ds2=d2w, s_y=s_y, s_yy=s_yy,
-                            y_lowered=y.copy())
-
 
 def _mean_berwald_closed(forms, name, c, rec, y, alpha) -> np.ndarray:
     """Half the Hessian of the closed S, assembled at y/|y| and divided by |y|.

@@ -113,7 +113,10 @@ class PhiFamily:
     @classmethod
     def polynomial(cls, coefficients) -> "PhiFamily":
         """The exact family phi(s) = sum_k c_k s^k from ascending coefficients."""
-        coeffs = np.asarray(coefficients, dtype=float)
+        try:
+            coeffs = np.asarray(coefficients, dtype=float)
+        except (TypeError, ValueError):     # not numbers: refused below
+            coeffs = np.empty(0)
         if coeffs.ndim != 1 or coeffs.size == 0 or not np.isfinite(coeffs).all():
             raise ValueError("polynomial coefficients must be a non-empty 1-d sequence of "
                              "finite numbers")
@@ -215,7 +218,7 @@ def _entrywise(f):
 
 def phi_family(name: str) -> PhiFamily:
     """Look up a built-in family by tag; each tag gives one shared object."""
-    if name not in _BUILTINS:
+    if not isinstance(name, str) or name not in _BUILTINS:
         raise KeyError(f"unknown metric family {name!r}; built-ins: {sorted(_BUILTINS)}")
     return _exact_family(name, *_BUILTINS[name])
 

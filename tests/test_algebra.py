@@ -14,7 +14,6 @@ from homfinsler import (
     build_model,
     catalog_get,
     catalog_names,
-    christoffel_origin,
     origin_tensors,
     orthonormal_frame,
     validate_model,
@@ -412,61 +411,7 @@ class TestBracketM:
 # connection coefficients
 # ---------------------------------------------------------------------------
 
-def brute_force_gamma(model):
-    """Independent re-evaluation of the three-bracket formula (i >= j, mirrored)."""
-    n = model.m_dim
-    eye = np.eye(n)
-
-    def ip(a, b):
-        return float(a @ b)
-
-    def br(a, b):
-        return bracket_m(model, eye[a], eye[b])
-
-    gamma = np.zeros((n, n, n))
-    for l in range(n):
-        for i in range(n):
-            for j in range(n):
-                ii, jj = (i, j) if i >= j else (j, i)
-                gamma[l, i, j] = 0.5 * (
-                    -ip(br(ii, jj), eye[l])
-                    + ip(br(l, ii), eye[jj])
-                    + ip(br(l, jj), eye[ii]))
-    return gamma
-
-
 class TestChristoffel:
-    def test_abelian_zero(self):
-        e = catalog_get("abelian3")
-        assert np.max(np.abs(christoffel_origin(e.model))) == 0.0
-
-    def test_matches_brute_force(self, entry):
-        gamma = christoffel_origin(entry.model)
-        assert np.allclose(gamma, brute_force_gamma(entry.model), atol=1e-13)
-
-    def test_symmetric_in_lower_indices(self, entry):
-        gamma = christoffel_origin(entry.model)
-        assert np.max(np.abs(gamma - gamma.transpose(0, 2, 1))) == 0.0
-
-    def test_heisenberg_frozen_values(self):
-        # identity frame order via the central-v variant
-        e = catalog_get("heisenberg_central_v")
-        gamma = christoffel_origin(e.model)
-        expected = np.zeros((3, 3, 3))
-        expected[2, 0, 1] = expected[2, 1, 0] = 0.5
-        expected[1, 0, 2] = expected[1, 2, 0] = -0.5
-        expected[0, 1, 2] = expected[0, 2, 1] = 0.5
-        assert np.allclose(gamma, expected, atol=1e-14)
-
-    def test_solvable_frozen_values(self):
-        # the three terms cancel in the off-diagonal slot; only gamma[0,1,1]
-        # (the <[v_0,v_1],v_1>-driven entry) survives
-        e = catalog_get("solvable2")
-        gamma = christoffel_origin(e.model)
-        expected = np.zeros((2, 2, 2))
-        expected[0, 1, 1] = 1.0
-        assert np.allclose(gamma, expected, atol=1e-14)
-
     def test_raw_formula_metric_compatibility(self, entry):
         # the unmirrored three-bracket expression is antisymmetric in (l, i),
         # which is exactly metric compatibility in an orthonormal frame
@@ -526,16 +471,14 @@ class TestOriginTensors:
 
 
 def old_origin_tensors(model, v):
-    """The origin tensors as computed from the brackets on every call, before the cache."""
+    """r and s from the brackets with c inside the products: origin_tensors' reference bits."""
     n = model.m_dim
     br = model._brackets
-    full = 0.5 * (-br.transpose(2, 0, 1) + br + br.transpose(0, 2, 1))
-    gamma = np.where(np.tri(n, dtype=bool), full, full.transpose(0, 2, 1))
     if v.c == 0.0:
-        return gamma, np.zeros((n, n)), np.zeros((n, n))
+        return np.zeros((n, n)), np.zeros((n, n))
     upper = np.triu(0.5 * v.c * br[:, :, -1], 1)
     rn = br[-1]
-    return gamma, -0.5 * v.c * (rn + rn.T), upper - upper.T
+    return -0.5 * v.c * (rn + rn.T), upper - upper.T
 
 
 def same_bits(a, b):
@@ -548,27 +491,14 @@ class TestOriginCache:
         sp = space_of(case)
         got = origin_tensors(sp.model, sp.v)
         want = old_origin_tensors(sp.model, sp.v)
-        for name, ref in zip(("gamma", "r", "s"), want):
+        for name, ref in zip(("r", "s"), want):
             assert same_bits(getattr(got, name), ref), name
-        assert same_bits(christoffel_origin(sp.model), want[0])
-
-    def test_cached_read_only_and_not_a_field(self):
-        model, v = similitude(3, 1.3)
-        cache = model._origin
-        assert model._origin is cache
-        assert origin_tensors(model, v).gamma is cache[0]
-        for arr in cache:
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
-        assert "_origin" not in {f.name for f in dataclasses.fields(model)}
-        fresh = dataclasses.replace(model)
-        assert "_origin" not in vars(fresh)
-        assert all(a is not b and same_bits(a, b) for a, b in zip(fresh._origin, cache))
 
     def test_zero_v_after_the_cache_is_warm(self):
+        # origin_tensors keeps nothing between calls: one at the model's own v
+        # first leaves v = 0 its zero tensors
         e = catalog_get("heisenberg3")
-        e.model._origin
+        origin_tensors(e.model, e.v)
         zero = InvariantVector.from_coords(e.model, [0.0, 0.0, 0.0])
         tensors = origin_tensors(e.model, zero)
         assert same_bits(tensors.r, np.zeros((3, 3)))

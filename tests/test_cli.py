@@ -170,10 +170,14 @@ def test_import_does_not_load_scipy():
 
 
 class TestSpaceConfig:
-    def test_round_trip(self):
+    def test_from_dict_fields(self):
         config = SpaceConfig.from_dict(SOLVABLE_JSON)
-        assert config.to_dict() == SOLVABLE_JSON
-        assert SpaceConfig.from_dict(config.to_dict()) == config
+        assert (config.dim_g, config.h_dim) == (2, 0)
+        assert config.structure == [[0, 1, 1, 1.0]]
+        assert config.inner_product == [1.0, 0.0, 0.0, 1.0]
+        assert config.v == [0.0, 0.5]
+        assert config.metric == {"family": "exponential"}
+        assert config.mode == "formal"
 
     def test_build_matches_catalog(self):
         config = SpaceConfig.from_dict(SOLVABLE_JSON)
@@ -217,6 +221,13 @@ class TestSpaceConfig:
         (lambda d: d.update(v=[1.0]), "components"),
         (lambda d: d.update(structure=[[0, 1, 1, 1.0], [1, 0, 1, 1.0]]), "conflict"),
         (lambda d: d.update(metric={"family": "warp"}), "unknown"),
+        (lambda d: d.update(metric="exponential"), "'metric' must be an object"),
+        (lambda d: d.update(metric={"family": ["x"]}), "unknown metric family ['x']"),
+        (lambda d: d.update(metric={"family": "custom", "phi_coefficients": {"a": 1}}),
+         "polynomial coefficients"),
+        (lambda d: d.update(structure=[[0.5, 1, 1, 1.0]]), "0.5 is not an integer"),
+        (lambda d: d.update(dim_g=2.5), "2.5 is not an integer"),
+        (lambda d: d.update(h_dim=float("inf")), "inf is not an integer"),
     ])
     def test_bad_configs_exit_2(self, tmp_path, capsys, mutate, match):
         data = json.loads(json.dumps(SOLVABLE_JSON))
@@ -250,6 +261,12 @@ class TestSpaceConfig:
         bad.write_text("{not json")
         code, _ = run(["validate", "--space", str(bad), "--metric", "randers"])
         assert code == 2
+        for text in (b'{"dim_g": 2, "h_dim": 0, "mode": "\xff"}',     # not UTF-8
+                     b"[" * 100_000 + b"]" * 100_000):                  # nested too deep
+            bad.write_bytes(text)
+            code, _ = run(["validate", "--space", str(bad), "--metric", "randers"])
+            assert code == 2
+            assert "invalid JSON" in capsys.readouterr().err
         capsys.readouterr()
 
 
@@ -362,3 +379,9 @@ class TestScan:
                        "--metric", "randers", "--grid", "5"])
         assert code == 2
         capsys.readouterr()
+
+    def test_negative_seed_is_config_error(self, capsys):
+        code, text = run(["scan", "--space", "catalog:heisenberg3",
+                          "--metric", "exponential", "--grid", "5", "--seed", "-1"])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == "error: --seed must be non-negative, got -1\n"

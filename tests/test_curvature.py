@@ -19,7 +19,6 @@ from homfinsler import (
     SingularityError,
     StructureConstants,
     ValidatedModeError,
-    berwald_workspace,
     build_model,
     catalog_get,
     coefficients_exponential,
@@ -34,10 +33,10 @@ from homfinsler import (
 )
 from homfinsler import curvature, metrics
 from homfinsler.curvature import (
-    _factor_derivs,
     _rational_forms,
     _row_error,
     _s_rows,
+    _w_derivs,
     unit_directions,
 )
 
@@ -239,8 +238,7 @@ class TestSCurvature:
                      lambda: s_curvature(e.model, e.v, spec, y, path="generic"),
                      lambda: s_curvature_via_tensors(e.model, e.v, spec, y),
                      lambda: mean_berwald(e.model, e.v, spec, y),
-                     lambda: mean_berwald(e.model, e.v, spec, y, path="finite_difference"),
-                     lambda: berwald_workspace(e.model, e.v, spec, y)):
+                     lambda: mean_berwald(e.model, e.v, spec, y, path="finite_difference")):
             with pytest.raises(DomainError, match=r"\|y\|"):
                 call()
 
@@ -317,32 +315,11 @@ class TestSCurvature:
 
 
 # ---------------------------------------------------------------------------
-# Berwald workspace and mean Berwald curvature
+# the Berwald factor and mean Berwald curvature
 # ---------------------------------------------------------------------------
 
 class TestBerwaldWorkspace:
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_euler_identity(self, family, rng):
-        e = catalog_get("heisenberg3")
-        spec = spec_for(e, family)
-        for y in sample_in_domain(e, family, 20, rng):
-            ws = berwald_workspace(e.model, e.v, spec, y)
-            assert abs(float(ws.s_y @ y)) <= 1e-12 * (1.0 + abs(ws.s))
-            assert np.max(np.abs(ws.s_yy - ws.s_yy.T)) == 0.0
-
-    def test_s_y_vanishes_at_v(self):
-        e = catalog_get("solvable2")
-        spec = spec_for(e, "exponential")
-        vf = e.v.frame_coords(e.model)
-        ws = berwald_workspace(e.model, e.v, spec, vf)
-        assert np.max(np.abs(ws.s_y)) == 0.0
-        assert ws.s == e.v.b
-
-    def test_rejects_family_without_factor(self):
-        e = catalog_get("solvable2")
-        spec = MetricSpec.for_vector(_callable_randers(), e.v)
-        with pytest.raises(ValueError, match="closed-form"):
-            berwald_workspace(e.model, e.v, spec, [1.0, 0.5])
+    """The factor W = Phi/(2 Delta^2) of the closed E and its s-derivatives."""
 
     @pytest.mark.parametrize("family,s_ranges", [
         # ranges keep clear of the zeros of the factor denominator at b = 0.5
@@ -354,11 +331,11 @@ class TestBerwaldWorkspace:
         forms = _rational_forms(phi_family(family).exact, 0.5, 3)
 
         def w_of(s):
-            return _factor_derivs(forms, s, family)[0]
+            return _w_derivs(*forms.values_at(s)[4:], s)[0]
 
         pts = np.concatenate([np.linspace(lo, hi, 25) for lo, hi in s_ranges])
         for s in pts:
-            _, dw, d2w = _factor_derivs(forms, float(s), family)
+            _, dw, d2w = _w_derivs(*forms.values_at(float(s))[4:], float(s))
             h = 1e-3
 
             def first(hh):
@@ -494,6 +471,18 @@ class TestMeanBerwald:
         assert str(fd.value) == str(scalar.value)
 
 
+def s_derivs(c, y, alpha):
+    """s = c y_n / alpha with its gradient and Hessian in y."""
+    s = c * float(y[-1]) / alpha
+    b_vec = np.zeros(len(y))
+    b_vec[-1] = c
+    s_y = (b_vec * alpha - s * y) / (alpha * alpha)
+    s_yy = (-(np.outer(b_vec, y) + np.outer(y, b_vec)) * alpha
+            + 3.0 * s * np.outer(y, y) - alpha * alpha * s * np.eye(len(y))
+            ) / (alpha * alpha * alpha * alpha)
+    return s, s_y, s_yy
+
+
 def old_closed_e(model, v, spec, y):
     """Closed E as the sum of two Hessians of products f(s(y)) g(y), as assembled
     before the rank-4 form."""
@@ -505,9 +494,9 @@ def old_closed_e(model, v, spec, y):
     n = model.m_dim
     alpha = float(np.linalg.norm(y))
     y = y / alpha
-    s, s_y, s_yy = curvature._s_derivs(v.c, y, 1.0)
+    s, s_y, s_yy = s_derivs(v.c, y, 1.0)
     forms = _rational_forms(spec.phi.exact, spec.b, n)
-    w = _factor_derivs(forms, s, spec.phi.name)
+    w = _w_derivs(*forms.values_at(s)[4:], s)
     c = CoefficientBundle(s, spec.b, n, *curvature._closed_coefficients(forms, s, spec.phi.name))
     p = v.c * model._brackets[-1].T
     py = p @ y
@@ -760,8 +749,7 @@ class TestExactClosedRoutes:
             s_curvature(e.model, e.v, spec, y, path="generic")
         assert str(generic.value).startswith("phi - s*phi' = 0 at s = ")
         for call in (lambda: s_curvature(e.model, e.v, spec, y),
-                     lambda: mean_berwald(e.model, e.v, spec, y),
-                     lambda: berwald_workspace(e.model, e.v, spec, y)):
+                     lambda: mean_berwald(e.model, e.v, spec, y)):
             with pytest.raises(SingularityError) as closed:
                 call()
             assert str(closed.value) == str(generic.value)
@@ -960,7 +948,7 @@ class TestSymbolicOracle:
                 continue  # keep clear of Delta = 0, where W is ill-conditioned
             forms = _rational_forms(fam.exact, bv, nv)
             got = [*curvature._closed_coefficients(forms, sv, fam.name),
-                   *_factor_derivs(forms, sv, fam.name)]
+                   *_w_derivs(*forms.values_at(sv)[4:], sv)]
             # relative, on a scale floored at 1 where a value crosses zero
             for name, g, r in zip(("Q", "Q'", "Q''", "Delta", "Phi", "W", "W'", "W''"),
                                   got, ref):

@@ -88,8 +88,9 @@ class TestPhiFamilies:
         assert phi_family("matsumoto").phi(0.5) == 2.0
 
     def test_unknown_family(self):
-        with pytest.raises(KeyError, match="built-ins"):
-            phi_family("nope")
+        for name in ("nope", ["x"]):
+            with pytest.raises(KeyError, match="built-ins"):
+                phi_family(name)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_derivatives_match_finite_differences(self, family):
@@ -115,7 +116,8 @@ class TestPhiFamilies:
         assert not poly.in_domain(-2.0)  # phi < 0 there
 
     def test_polynomial_rejects_empty(self):
-        for coeffs in ([], [math.nan, 1.0, 1.0], [1.0, math.inf, 1.0]):
+        for coeffs in ([], [math.nan, 1.0, 1.0], [1.0, math.inf, 1.0], {"a": 1}, ["x"],
+                       [[1.0], [1.0, 2.0]]):
             with pytest.raises(ValueError, match="non-empty 1-d sequence of finite numbers"):
                 PhiFamily.polynomial(coeffs)
 

@@ -322,9 +322,10 @@ class TestRecord:
         s_curvature(model, v, spec, y, path="generic", mode="validated")
         mean_berwald(model, v, spec, y)
         mean_berwald(model, v, spec, y, path="finite_difference")
-        assert "_origin" not in vars(model)
+        rec = model._records[v]
+        assert rec.tensors is None
         s_curvature_via_tensors(model, v, spec, y)
-        assert "_origin" in vars(model)
+        assert rec.tensors is not None
 
     def test_one_record_per_model_and_vector(self):
         model, v = _fresh_heisenberg()
