@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -137,6 +138,20 @@ class StructureConstants:
         return worst
 
 
+def _length(g: np.ndarray, v: np.ndarray) -> float:
+    """sqrt(v @ g @ v), 0 where the square is negative.  Where the square is not a
+    finite normal float, it is taken of v/max|v_i| and scaled back, so that a v too
+    long or too short to square still gets its length."""
+    with np.errstate(over="ignore"):
+        sq = v @ g @ v
+    if not sys.float_info.min <= abs(sq) < math.inf:
+        scale = float(np.max(np.abs(v), initial=0.0))
+        if 0.0 < scale < math.inf:          # neither v = 0 nor a v that is not finite
+            w = v / scale
+            return scale * float(np.sqrt(max(w @ g @ w, 0.0)))
+    return float(np.sqrt(max(sq, 0.0)))
+
+
 def orthonormal_frame(inner_product: np.ndarray, v=None) -> np.ndarray:
     """Orthonormal frame of m, with v/|v| as last vector when v is nonzero.
 
@@ -154,7 +169,7 @@ def orthonormal_frame(inner_product: np.ndarray, v=None) -> np.ndarray:
     u = None                       # the next frame vector, when it is already known
     if v is not None:
         v = np.asarray(v, dtype=float)
-        c = float(np.sqrt(max(v @ g @ v, 0.0)))
+        c = _length(g, v)
         if c > 0.0:
             u = v / c
     seeded = u is not None
@@ -260,7 +275,7 @@ class InvariantVector:
         coords = np.asarray(coords, dtype=float)
         if coords.shape != (model.m_dim,):
             raise ValueError(f"v must have {model.m_dim} components, got {coords.shape}")
-        c = float(np.sqrt(max(coords @ model.inner_product @ coords, 0.0)))
+        c = _length(model.inner_product, coords)
         return cls(coords=_readonly(coords), c=c, b=c)
 
     def frame_coords(self, model: ReductiveModel) -> np.ndarray:
@@ -298,28 +313,17 @@ def build_model(structure: StructureConstants, h_dim: int, inner_product,
 # brackets
 # ---------------------------------------------------------------------------
 
-def _bracket_m_of_mcoords(model: ReductiveModel, xm, ym) -> np.ndarray:
-    """m-projection of the bracket of two vectors given in m-coordinates."""
-    h = model.h_dim
-    dim = model.structure.dim_g
-    xg = np.zeros(dim)
-    yg = np.zeros(dim)
-    xg[h:] = xm
-    yg[h:] = ym
-    return model.structure.bracket(xg, yg)[h:]
-
-
 def bracket_m(model: ReductiveModel, x, y) -> np.ndarray:
     """[x, y]_m for x, y in frame coordinates; result in frame coordinates.
 
     The bracket is taken in g and the h-component is discarded.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xm = model.frame.T @ x
-    ym = model.frame.T @ y
-    zm = _bracket_m_of_mcoords(model, xm, ym)
-    return model.frame @ (model.inner_product @ zm)
+    h, dim = model.h_dim, model.structure.dim_g
+    xg = np.zeros(dim)
+    yg = np.zeros(dim)
+    xg[h:] = model.frame.T @ np.asarray(x, dtype=float)
+    yg[h:] = model.frame.T @ np.asarray(y, dtype=float)
+    return model.frame @ (model.inner_product @ model.structure.bracket(xg, yg)[h:])
 
 
 # ---------------------------------------------------------------------------

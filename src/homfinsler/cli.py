@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,87 +55,70 @@ def _integer(x) -> int:
     return int(x)
 
 
-@dataclass
-class SpaceConfig:
-    """Parsed space description (JSON file schema, 0-based indices)."""
+def _lookup(get, name):
+    """get(name) for a catalog or family lookup, its KeyError a ConfigError."""
+    try:
+        return get(name)
+    except KeyError as exc:
+        raise ConfigError(str(exc.args[0])) from None
 
-    dim_g: int
-    h_dim: int
-    structure: list = field(default_factory=list)   # [i, j, k, value] rows
-    inner_product: list = field(default_factory=list)  # row-major m_dim^2 floats
-    v: list = field(default_factory=list)
-    metric: dict | None = None
-    mode: str = "formal"
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SpaceConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("space config must be a JSON object")
-        required = ("dim_g", "h_dim", "inner_product", "v")
-        for key in required:
-            if key not in data:
-                raise ConfigError(f"space config missing key {key!r}")
-        try:
-            dim_g = _integer(data["dim_g"])
-            h_dim = _integer(data["h_dim"])
-            structure = [[_integer(i), _integer(j), _integer(k), float(val)]
-                         for i, j, k, val in data.get("structure", [])]
-            inner_product = [float(x) for x in data["inner_product"]]
-            v = [float(x) for x in data["v"]]
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"malformed space config: {exc}") from None
-        metric = data.get("metric")
-        if metric is not None and not isinstance(metric, dict):
-            raise ConfigError(f"space config 'metric' must be an object, got {metric!r}")
-        return cls(dim_g=dim_g, h_dim=h_dim, structure=structure,
-                   inner_product=inner_product, v=v, metric=metric,
-                   mode=str(data.get("mode", "formal")))
+def _read_space(path: str) -> tuple[ReductiveModel, InvariantVector, PhiFamily | None, str]:
+    """(model, v, phi or None, mode) from a JSON space file (schema in the README).
 
-    @classmethod
-    def from_file(cls, path: str) -> "SpaceConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read space config {path!r}: {exc}") from None
-        except (ValueError, RecursionError) as exc:   # not UTF-8, not JSON, too deep
-            raise ConfigError(f"invalid JSON in {path!r}: {exc}") from None
-        return cls.from_dict(data)
-
-    def build(self) -> tuple[ReductiveModel, InvariantVector]:
-        m_dim = self.dim_g - self.h_dim
-        if m_dim <= 0:
-            raise ConfigError(f"dim_g - h_dim must be positive, got {m_dim}")
-        if len(self.inner_product) != m_dim * m_dim:
-            raise ConfigError(
-                f"inner_product must have {m_dim * m_dim} row-major entries, "
-                f"got {len(self.inner_product)}")
-        if len(self.v) != m_dim:
-            raise ConfigError(f"v must have {m_dim} components, got {len(self.v)}")
-        try:
-            structure = StructureConstants.from_entries(
-                self.dim_g, [(i, j, k, val) for i, j, k, val in self.structure])
-            g = np.array(self.inner_product, dtype=float).reshape(m_dim, m_dim)
-            return build_model(structure, self.h_dim, g, np.array(self.v))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-    def phi(self) -> PhiFamily | None:
-        if self.metric is None:
-            return None
-        family = self.metric.get("family")
-        if family == "custom":
-            coeffs = self.metric.get("phi_coefficients")
-            if not coeffs:
-                raise ConfigError("custom metric needs 'phi_coefficients'")
-            try:
-                return PhiFamily.polynomial(coeffs)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-        try:
-            return phi_family(family)
-        except KeyError as exc:
-            raise ConfigError(str(exc.args[0])) from None
+    The file is checked in one order: readable JSON, an object with the
+    required keys, numbers of the right kind, ``metric`` an object, then the
+    dimensions, the model and last the metric, so a bad metric in the file
+    is refused also where ``--metric`` replaces it.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read space config {path!r}: {exc}") from None
+    except (ValueError, RecursionError) as exc:   # not UTF-8, not JSON, too deep
+        raise ConfigError(f"invalid JSON in {path!r}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError("space config must be a JSON object")
+    for key in ("dim_g", "h_dim", "inner_product", "v"):
+        if key not in data:
+            raise ConfigError(f"space config missing key {key!r}")
+    try:
+        dim_g = _integer(data["dim_g"])
+        h_dim = _integer(data["h_dim"])
+        structure = [(_integer(i), _integer(j), _integer(k), float(val))
+                     for i, j, k, val in data.get("structure", [])]
+        inner_product = [float(x) for x in data["inner_product"]]
+        coords = [float(x) for x in data["v"]]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"malformed space config: {exc}") from None
+    metric = data.get("metric")
+    if metric is not None and not isinstance(metric, dict):
+        raise ConfigError(f"space config 'metric' must be an object, got {metric!r}")
+    mode = str(data.get("mode", "formal"))
+    m_dim = dim_g - h_dim
+    if m_dim <= 0:
+        raise ConfigError(f"dim_g - h_dim must be positive, got {m_dim}")
+    if len(inner_product) != m_dim * m_dim:
+        raise ConfigError(f"inner_product must have {m_dim * m_dim} row-major entries, "
+                          f"got {len(inner_product)}")
+    if len(coords) != m_dim:
+        raise ConfigError(f"v must have {m_dim} components, got {len(coords)}")
+    try:
+        model, v = build_model(StructureConstants.from_entries(dim_g, structure), h_dim,
+                               np.array(inner_product).reshape(m_dim, m_dim), np.array(coords))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if metric is None:
+        return model, v, None, mode
+    if metric.get("family") != "custom":
+        return model, v, _lookup(phi_family, metric.get("family")), mode
+    if not metric.get("phi_coefficients"):
+        raise ConfigError("custom metric needs 'phi_coefficients'")
+    try:
+        return model, v, PhiFamily.polynomial(metric["phi_coefficients"]), mode
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +131,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="curvature of reductive homogeneous Finsler spaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_metric=True):
+    def add_common(p):
         p.add_argument("--space", required=True,
                        help="catalog:<name> or path to a JSON space file")
-        if needs_metric:
-            p.add_argument("--metric", default=None,
-                           help="metric family (overrides the config file)")
+        p.add_argument("--metric", default=None,
+                       help="metric family (overrides the config file)")
         p.add_argument("--mode", choices=_MODES, default=None,
                        help="formal or validated (default: FINSLER_MODE, then config)")
         p.add_argument("--format", choices=("table", "csv", "jsonl"), default=None,
@@ -186,48 +167,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_mode(flag_mode: str | None, config_mode: str) -> str:
-    env = os.environ.get("FINSLER_MODE")
-    if flag_mode is not None:
-        return flag_mode
-    if env is not None:
-        if env not in _MODES:
-            raise ConfigError(f"FINSLER_MODE must be one of {_MODES}, got {env!r}")
-        return env
-    if config_mode not in _MODES:
-        raise ConfigError(f"config mode must be one of {_MODES}, got {config_mode!r}")
-    return config_mode
-
-
 def _load_space(args):
     """Returns (model, v, spec, mode)."""
-    space = args.space
-    metric_flag = getattr(args, "metric", None)
-    if space.startswith("catalog:"):
-        name = space[len("catalog:"):]
-        try:
-            entry = catalog.get(name)
-        except KeyError as exc:
-            raise ConfigError(str(exc.args[0])) from None
-        model, v = entry.model, entry.v
-        config_phi = None
-        config_mode = "formal"
+    if args.space.startswith("catalog:"):
+        entry = _lookup(catalog.get, args.space[len("catalog:"):])
+        model, v, phi, config_mode = entry.model, entry.v, None, "formal"
     else:
-        config = SpaceConfig.from_file(space)
-        model, v = config.build()
-        config_phi = config.phi()
-        config_mode = config.mode
-
-    mode = _resolve_mode(args.mode, config_mode)
-
-    phi = None
-    if metric_flag is not None:
-        try:
-            phi = phi_family(metric_flag)
-        except KeyError as exc:
-            raise ConfigError(str(exc.args[0])) from None
-    elif config_phi is not None:
-        phi = config_phi
+        model, v, phi, config_mode = _read_space(args.space)
+    mode = args.mode                    # the flag, else FINSLER_MODE, else the config's
+    if mode is None:
+        source, mode = "FINSLER_MODE", os.environ.get("FINSLER_MODE")
+        if mode is None:
+            source, mode = "config mode", config_mode
+        if mode not in _MODES:
+            raise ConfigError(f"{source} must be one of {_MODES}, got {mode!r}")
+    if args.metric is not None:
+        phi = _lookup(phi_family, args.metric)
     if phi is None:
         raise ConfigError("no metric family given (use --metric or the config file)")
     try:

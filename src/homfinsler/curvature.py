@@ -81,7 +81,7 @@ from .algebra import (
     origin_tensors,
 )
 from .errors import DomainError, FinslerError, SingularityError, ValidatedModeError
-from .metrics import ExactProfile, MetricSpec, PhiFamily, phi_family
+from .metrics import ExactProfile, MetricSpec, PhiFamily, _horner, phi_family
 
 __all__ = [
     "CoefficientBundle",
@@ -129,8 +129,9 @@ def coefficients_generic(phi: PhiFamily, s: float, b: float, n: int) -> Coeffici
         Q'  = phi phi'' / D^2
         Q'' = ((phi' phi'' + phi phi''') D + 2 s phi phi''^2) / D^3.
 
-    A pole of phi (an evaluator's ZeroDivisionError or a non-finite value)
-    raises SingularityError, and an evaluator's OverflowError DomainError.
+    A pole of phi (an evaluator's ZeroDivisionError or a callable's non-finite
+    value) raises SingularityError, and an overflow (an evaluator's
+    OverflowError or an exact evaluator's non-finite value) DomainError.
     """
     return CoefficientBundle(s, b, n, *_generic_coefficients(phi, s, b, n))
 
@@ -139,11 +140,14 @@ def _generic_coefficients(phi: PhiFamily, s: float, b: float, n: int) -> tuple:
     """(Q, Q', Q'', Delta, Phi) as a plain tuple; see ``coefficients_generic``."""
     try:
         vals = (phi.phi(s), phi.dphi(s), phi.d2phi(s), phi.d3phi(s))
+        big = phi.exact is not None     # if non-finite, an exact evaluator has overflowed
     except ZeroDivisionError:
-        vals = (math.nan,)
+        vals, big = (math.nan,), False
     except OverflowError:
-        raise DomainError(f"overflow of phi ({phi.name}) at s = {s:.6g}") from None
+        vals, big = (math.nan,), True
     if not all(map(math.isfinite, vals)):
+        if big:
+            raise DomainError(f"overflow of phi ({phi.name}) at s = {s:.6g}")
         raise SingularityError(f"pole of phi ({phi.name}) at s = {s:.6g}")
     p, p1, p2, p3 = vals
     d = p - s * p1
@@ -582,6 +586,11 @@ def _s_rows(model: ReductiveModel, v: InvariantVector, spec: MetricSpec, Y,
             q, _, _, delta, phi_big = _quotient_coefficients(p, p1, p2, p3, d, s, b, n)
             out = _generic_s(q, delta, phi_big, alpha, bvy_y, bvy_v)
             pole = ~(np.isfinite(p) & np.isfinite(p1) & np.isfinite(p2) & np.isfinite(p3))
+            if pole.any() and phi.exact is not None and not phi.exact.k:
+                # the scalar evaluators raise ZeroDivisionError (a pole) only where
+                # D^4 rounds to 0; a non-finite row elsewhere has overflowed
+                dv = _horner(phi.exact.D, s)
+                big = pole & (dv * dv * dv * dv != 0.0)
             d_scale = np.maximum(np.maximum(np.abs(p), np.abs(s * p1)), 1.0)
             # the scalar checks run in the reverse order; a later mask wins
             loci = ((np.abs(delta) < _SING_TOL, _ROW_DELTA),

@@ -145,11 +145,12 @@ def _exact_family(name: str, num: tuple, den: tuple = (1,), k: int = 0) -> PhiFa
     add, sub, mul, der, s = P.polyadd, P.polysub, P.polymul, P.polyder, (0.0, 1.0)
     d = np.array(den, dtype=float)
     nums = [np.array(num, dtype=float)]
-    for j in range(3):
-        c = nums[-1]
-        nums.append(add(sub(mul(der(c), d), (j + 1) * mul(c, der(d))), k * mul(c, d)))
-    qd = tuple(sub(mul(nums[0], d), mul(s, nums[1])).tolist())
-    g0 = sub(mul(nums[0], mul(d, d)), mul(s, add(mul(nums[1], d), mul(s, nums[2]))))
+    with np.errstate(all="ignore"):     # huge coefficients overflow; the evaluators say where
+        for j in range(3):
+            c = nums[-1]
+            nums.append(add(sub(mul(der(c), d), (j + 1) * mul(c, der(d))), k * mul(c, d)))
+        qd = tuple(sub(mul(nums[0], d), mul(s, nums[1])).tolist())
+        g0 = sub(mul(nums[0], mul(d, d)), mul(s, add(mul(nums[1], d), mul(s, nums[2]))))
     q = None
     if any(qd):
         z = min(f[0] for f in (np.flatnonzero(nums[1]), np.flatnonzero(qd)) if f.size)

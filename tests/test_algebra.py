@@ -158,6 +158,9 @@ class TestFrame:
             assert np.max(np.abs(frame @ g @ frame.T - np.eye(n))) < 1e-12
             c = np.sqrt(v @ g @ v)
             assert np.allclose(frame[-1], v / c, atol=1e-12)
+            # a v whose square is a normal float keeps the bits of c = sqrt(v @ g @ v)
+            model, iv = build_model(StructureConstants.from_entries(n, {}), 0, g, v)
+            assert iv.c == float(c) and np.array_equal(model.frame, frame)
 
     def test_zero_v_unseeded(self):
         frame = orthonormal_frame(np.eye(3), np.zeros(3))
@@ -165,6 +168,14 @@ class TestFrame:
 
     def test_ties_go_to_the_first_candidate(self):
         assert np.array_equal(orthonormal_frame(np.eye(5)), np.eye(5))
+
+    @pytest.mark.parametrize("b", [1e200, 1e-170])
+    def test_v_too_long_or_short_to_square(self, b):
+        # |v|^2 overflows or underflows: the length comes from v/max|v_i|, with
+        # no warning (warnings are errors here), and the frame still ends in v/|v|
+        assert np.array_equal(orthonormal_frame(np.eye(2), [0.0, b]), np.eye(2))
+        model, v = make_model(2, {(0, 1, 1): 1.0}, v=[0.0, b])
+        assert v.c == v.b == b and np.array_equal(model.frame, np.eye(2))
 
 
 def loop_frame(inner_product, v=None, tol=1e-12):

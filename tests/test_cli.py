@@ -11,7 +11,7 @@ import pytest
 import homfinsler
 from homfinsler import DomainError, catalog_get, s_curvature, volume_coefficient
 from homfinsler import cli
-from homfinsler.cli import SpaceConfig, main
+from homfinsler.cli import main
 from homfinsler.curvature import _s_rows, unit_directions
 from homfinsler.metrics import MetricSpec, phi_family
 
@@ -101,7 +101,8 @@ class TestBasicCommands:
         code, _ = run(["s-curv", "--space", "catalog:abelian3",
                        "--metric", "exponential", "--y", "1,1,1"])
         assert code == 2
-        capsys.readouterr()
+        assert capsys.readouterr().err == \
+            "error: FINSLER_MODE must be one of ('formal', 'validated'), got 'bogus'\n"
 
     def test_volume_matches_library(self):
         code, text = run(["volume", "--space", "catalog:solvable2",
@@ -170,21 +171,18 @@ def test_import_does_not_load_scipy():
 
 
 class TestSpaceConfig:
-    def test_from_dict_fields(self):
-        config = SpaceConfig.from_dict(SOLVABLE_JSON)
-        assert (config.dim_g, config.h_dim) == (2, 0)
-        assert config.structure == [[0, 1, 1, 1.0]]
-        assert config.inner_product == [1.0, 0.0, 0.0, 1.0]
-        assert config.v == [0.0, 0.5]
-        assert config.metric == {"family": "exponential"}
-        assert config.mode == "formal"
-
-    def test_build_matches_catalog(self):
-        config = SpaceConfig.from_dict(SOLVABLE_JSON)
-        model, v = config.build()
+    def test_build_matches_catalog(self, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(SOLVABLE_JSON))
+        model, v, phi, mode = cli._read_space(str(path))
+        assert (model.structure.dim_g, model.h_dim, mode) == (2, 0, "formal")
+        assert model.structure.tensor.tolist() == [[[0.0, 0.0], [0.0, 1.0]],
+                                                   [[0.0, -1.0], [0.0, 0.0]]]
+        assert model.inner_product.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert v.coords.tolist() == [0.0, 0.5] and phi is phi_family("exponential")
         entry = catalog_get("solvable2")
         assert np.allclose(model.frame, entry.model.frame)
-        spec = MetricSpec.for_vector(config.phi(), v)
+        spec = MetricSpec.for_vector(phi, v)
         y = np.array([1.0, 0.3])
         assert s_curvature(model, v, spec, y) \
             == s_curvature(entry.model, entry.v, spec, y)
@@ -252,6 +250,63 @@ class TestSpaceConfig:
         code, _ = run([command, "--space", str(path), *extra])
         assert code == 2
         assert match in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content,extra,message", [
+        ([1, 2], [], "space config must be a JSON object"),
+        ({"v": None}, [], "space config missing key 'v'"),
+        ({"structure": [[0, 1.5, 1, 1.0]]}, [], "malformed space config: 1.5 is not an integer"),
+        ({"h_dim": float("inf")}, [], "malformed space config: inf is not an integer"),
+        ({"metric": "exponential"}, [],
+         "space config 'metric' must be an object, got 'exponential'"),
+        ({"metric": {"family": "warp"}}, [], "unknown metric family 'warp'; built-ins: "
+         "['exponential', 'infinite_series', 'kropina', 'matsumoto', 'randers']"),
+        ({"metric": {"family": "warp"}}, ["--metric", "randers"], "unknown metric family "
+         "'warp'; built-ins: ['exponential', 'infinite_series', 'kropina', 'matsumoto', "
+         "'randers']"),
+        ({"metric": {"family": "custom"}}, [], "custom metric needs 'phi_coefficients'"),
+        ({"inner_product": [1, 0, 0]}, [], "inner_product must have 4 row-major entries, got 3"),
+        ({"v": [1.0]}, [], "v must have 2 components, got 1"),
+        ({"h_dim": 2}, [], "dim_g - h_dim must be positive, got 0"),
+        ({"mode": "fast"}, [], "config mode must be one of ('formal', 'validated'), got 'fast'"),
+        (b'{"dim_g": 2, "h_dim": 0, "mode": "\xff"}', [], "invalid JSON in {path!r}: 'utf-8' "
+         "codec can't decode byte 0xff in position 34: invalid start byte"),
+        (b"[" * 100_000 + b"]" * 100_000, [], "invalid JSON in {path!r}: maximum recursion "
+         "depth exceeded while decoding a JSON array from a unicode string"),
+    ], ids=["not_object", "missing_key", "fractional_index", "infinite_h_dim",
+            "metric_not_object", "unknown_family", "unknown_family_with_flag",
+            "custom_without_coefficients", "inner_product_length", "v_length", "no_m",
+            "config_mode", "not_utf8", "too_deep"])
+    def test_refusal_table(self, tmp_path, capsys, content, extra, message):
+        # exit 2, no output and exactly one stderr line; a dict overrides keys of
+        # SOLVABLE_JSON (None drops one), any other content is the whole file
+        path = tmp_path / "bad.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif isinstance(content, dict):
+            data = dict(SOLVABLE_JSON, **content)
+            path.write_text(json.dumps({k: v for k, v in data.items() if v is not None}))
+        else:
+            path.write_text(json.dumps(content))
+        code, text = run(["s-curv", "--space", str(path), "--y", "1,0.3", *extra])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == "error: " + message.format(path=str(path)) + "\n"
+
+    def test_v_too_long_to_square_is_refused_by_its_length(self, tmp_path, capsys):
+        # |v|^2 overflows; the refusal names b, with one stderr line and no warning
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(dict(SOLVABLE_JSON, v=[0.0, 1e200])))
+        code, text = run(["s-curv", "--space", str(path), "--y", "1,1"])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == \
+            "error: invariant-vector route requires ||beta|| < 1, got 1e+200\n"
+
+    def test_overflowing_exact_profile_is_not_a_pole(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(dict(SOLVABLE_JSON, metric={
+            "family": "custom", "phi_coefficients": [1e308, 1e308, 1e308]})))
+        code, text = run(["s-curv", "--space", str(path), "--y", "1,3"])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == "error: overflow of phi (custom) at s = 0.474342\n"
 
     def test_unreadable_and_invalid_json(self, tmp_path, capsys):
         code, _ = run(["validate", "--space", str(tmp_path / "missing.json"),

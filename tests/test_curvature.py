@@ -795,6 +795,48 @@ class TestExactClosedRoutes:
         assert rows.S[1] == s_curvature(model, v, spec, Y[1], path="generic")
         assert isotropy_test(model, v, spec, 20).samples_used == 20
 
+    @pytest.mark.parametrize("coeffs,b,y", [
+        ([1e308, 1e308, 1e308], 0.5, [1.0, 1.0]),     # phi' and phi'' overflow at every s
+        ([1e308, 1e308], 0.9, [0.5, 1.0]),            # phi overflows at s = 0.805
+    ])
+    def test_exact_profile_overflow_is_not_a_pole(self, coeffs, b, y):
+        # an exact evaluator that does not divide by zero is non-finite only by
+        # overflowing; building the profile warns of nothing (warnings are errors here)
+        st = StructureConstants.from_entries(2, {(0, 1, 1): 1.0})
+        model, v = build_model(st, 0, np.eye(2), [0.0, b])
+        spec = MetricSpec.for_vector(PhiFamily.polynomial(coeffs), v)
+        y = np.array(y)
+        s = v.c * y[-1] / float(np.linalg.norm(y))
+        message = f"overflow of phi (custom) at s = {s:.6g}"
+        for call in (lambda: s_curvature(model, v, spec, y, path="generic"),
+                     lambda: s_curvature_via_tensors(model, v, spec, y)):
+            with pytest.raises(DomainError) as info:
+                call()
+            assert type(info.value) is DomainError and str(info.value) == message
+        with pytest.raises(DomainError, match=r"^overflow of phi \(custom\) at s = "):
+            mean_berwald(model, v, spec, y, path="finite_difference")
+        rows = _s_rows(model, v, spec, np.array([y, [1.0, 0.01]]), "generic")
+        assert rows.flag[0] == curvature._ROW_PHI_BIG
+        assert str(_row_error(rows, 0, y, "custom")) == message
+        if len(coeffs) == 2:                          # phi is finite at s = 0.009
+            assert rows.flag[1] == 0
+            assert rows.S[1] == s_curvature(model, v, spec, [1.0, 0.01], path="generic")
+
+    def test_pole_rows_stay_poles(self):
+        # kropina's third derivative is -6/s^4: at s = 1e-100 the scalar call divides
+        # by an s^4 that rounds to 0 (a pole); at s = 1e-80 it overflows instead
+        e = catalog_get("heisenberg3")
+        spec = MetricSpec.for_vector(phi_family("kropina"), e.v)
+        Y = np.array([[1.0, 0.0, 2e-100], [1.0, 0.0, 2e-80]])
+        rows = _s_rows(e.model, e.v, spec, Y, "generic")
+        expect = [(SingularityError, "pole of phi (kropina) at s = 1e-100"),
+                  (DomainError, "overflow of phi (kropina) at s = 1e-80")]
+        for k, (kind, message) in enumerate(expect):
+            with pytest.raises(kind) as info:
+                s_curvature(e.model, e.v, spec, Y[k], path="generic")
+            assert type(info.value) is kind and str(info.value) == message
+            assert str(_row_error(rows, k, Y[k], "kropina")) == message
+
 
 # ---------------------------------------------------------------------------
 # validated mode
