@@ -171,7 +171,7 @@ def test_import_does_not_load_scipy():
 
 
 class TestSpaceConfig:
-    def test_build_matches_catalog(self, tmp_path):
+    def test_from_dict_fields(self, tmp_path):
         path = tmp_path / "space.json"
         path.write_text(json.dumps(SOLVABLE_JSON))
         model, v, phi, mode = cli._read_space(str(path))
@@ -180,6 +180,11 @@ class TestSpaceConfig:
                                                    [[0.0, -1.0], [0.0, 0.0]]]
         assert model.inner_product.tolist() == [[1.0, 0.0], [0.0, 1.0]]
         assert v.coords.tolist() == [0.0, 0.5] and phi is phi_family("exponential")
+
+    def test_build_matches_catalog(self, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(SOLVABLE_JSON))
+        model, v, phi, _ = cli._read_space(str(path))
         entry = catalog_get("solvable2")
         assert np.allclose(model.frame, entry.model.frame)
         spec = MetricSpec.for_vector(phi, v)
